@@ -16,6 +16,12 @@ methodology fix, new thresholds) and commit the refreshed JSON with a
 line in the commit message explaining why the numbers moved.  The
 fixtures are always regenerated with the reference backend; the
 golden tests then check both backends against them.
+
+``--differential`` instead freezes ``differential_golden.json``: the
+outputs of every world the pipeline-level differential suites
+(``tests/kernels``, ``tests/anomaly``) compare, generated with the
+reference backend after checking that the vector backend agrees
+byte for byte.
 """
 
 import argparse
@@ -29,6 +35,9 @@ STREAMED_FIXTURE = Path(__file__).with_name(
     "survey_streamed_golden.json"
 )
 ANOMALY_FIXTURE = Path(__file__).with_name("anomaly_golden.json")
+DIFFERENTIAL_FIXTURE = Path(__file__).with_name(
+    "differential_golden.json"
+)
 
 #: Source trees whose uncommitted changes block regeneration.
 GUARDED = ("src/repro/core", "src/repro/stream", "src/repro/anomaly")
@@ -181,6 +190,147 @@ def build_anomaly_report(kernels="reference", shards=1):
     return report.payload
 
 
+def _array(values):
+    """A float/int array as a JSON list (NaN kept as NaN)."""
+    return [v.item() for v in values]
+
+
+def _ledger_case(series, quality):
+    return {
+        "median_rtt_ms": _array(series.median_rtt_ms),
+        "traceroute_counts": _array(series.traceroute_counts),
+        "quality": quality.to_dict(),
+    }
+
+
+def build_differential(kernels="reference"):
+    """Outputs of the differential suites' worlds, JSON-ready.
+
+    One entry per world: the seeded 10-AS survey (serial and sharded
+    runs must both equal it), its fault-injected twin with the fault
+    tally, the degenerate-corner dataset (its full quality ledger
+    too), single-probe and empty surveys, kept signals, per-population
+    aggregates, the dirty-traceroute estimations of ``tests/kernels``,
+    and the simulated anomaly campaign's report and link medians.
+    """
+    import datetime as dt
+
+    from repro.anomaly import detect_anomalies, link_bin_medians, scan_links
+    from repro.core import (
+        LastMileDataset,
+        aggregate_population,
+        classify_dataset,
+        estimate_probe_series,
+    )
+    from repro.faults import FaultLog
+    from repro.io import survey_to_dict
+    from repro.quality import DataQualityReport
+    from repro.scenarios import generate_specs, run_survey_period
+    from repro.timebase import MeasurementPeriod, TimeGrid
+    from tests.anomaly.conftest import BIN_SECONDS, simulate
+    from tests.kernels.test_differential import (
+        GRID,
+        PERIOD,
+        TestFaultedEquivalence,
+        degenerate_dataset,
+        dirty_traceroutes,
+        synthetic_dataset,
+    )
+    from tests.kernels.test_flat_pass import GRID as DAY_GRID, dirty_results
+
+    specs = generate_specs(num_ases=10, num_countries=6, seed=5)
+    cases = {}
+    seeded, _ = run_survey_period(specs, PERIOD, seed=7, kernels=kernels)
+    cases["seeded-survey"] = survey_to_dict(seeded)
+
+    fault_log = FaultLog()
+    faulted, _ = run_survey_period(
+        specs, PERIOD, seed=7, kernels=kernels,
+        dataset_faults=TestFaultedEquivalence.FAULTS(), fault_seed=3,
+        fault_log=fault_log,
+    )
+    cases["faulted-survey"] = {
+        "survey": survey_to_dict(faulted),
+        "fault_counts": dict(sorted(fault_log.counts.items())),
+    }
+
+    ledger = DataQualityReport()
+    degenerate = classify_dataset(
+        degenerate_dataset(), PERIOD, kernels=kernels, quality=ledger
+    )
+    cases["degenerate-survey"] = {
+        "survey": survey_to_dict(degenerate),
+        "quality": ledger.to_dict(),
+    }
+    cases["single-probe-survey"] = survey_to_dict(classify_dataset(
+        degenerate_dataset(), PERIOD, kernels=kernels, min_probes=1
+    ))
+    cases["empty-survey"] = survey_to_dict(classify_dataset(
+        LastMileDataset(grid=GRID), PERIOD, kernels=kernels
+    ))
+    kept = classify_dataset(
+        synthetic_dataset(seed=4), PERIOD, kernels=kernels,
+        keep_signals=True,
+    )
+    cases["kept-signals"] = {
+        str(asn): {
+            "delay_ms": _array(signal.delay_ms),
+            "contributing": _array(signal.contributing),
+        }
+        for asn, signal in sorted(kept.signals.items())
+    }
+    dataset = degenerate_dataset()
+    cases["degenerate-aggregates"] = [
+        {
+            "probe_ids": probe_ids,
+            "delay_ms": _array(signal.delay_ms),
+            "contributing": _array(signal.contributing),
+        }
+        for probe_ids in ([1, 2, 3], [4], [8, 9, 10], [11, 12, 13])
+        for signal in [aggregate_population(
+            dataset, probe_ids, kernels=kernels
+        )]
+    ]
+    day_grid = TimeGrid(
+        MeasurementPeriod("d", dt.datetime(2019, 9, 2), 1)
+    )
+    quality = DataQualityReport()
+    series = estimate_probe_series(
+        dirty_traceroutes(), day_grid, kernels=kernels, quality=quality
+    )
+    cases["dirty-estimation"] = _ledger_case(series, quality)
+    quality = DataQualityReport()
+    series = estimate_probe_series(
+        dirty_results(), DAY_GRID, kernels=kernels, quality=quality
+    )
+    cases["flat-pass-estimation"] = _ledger_case(series, quality)
+
+    sim, period = simulate()
+    grid = TimeGrid(period, BIN_SECONDS)
+    cases["anomaly-report"] = detect_anomalies(
+        sim.results, grid, period_name="simulated", kernels=kernels
+    ).payload
+    ids, medians, counts = link_bin_medians(
+        scan_links(sim.results, grid), kernels=kernels
+    )
+    cases["anomaly-link-medians"] = {
+        "link_ids": ids,
+        "medians": [_array(row) for row in medians],
+        "counts": [_array(row) for row in counts],
+    }
+    return cases
+
+
+def differential_bytes(cases) -> bytes:
+    """The canonical serialization the differential suites compare:
+    one world per line, keys sorted."""
+    lines = ",\n".join(
+        f"{json.dumps(name)}: {json.dumps(cases[name], sort_keys=True)}"
+        for name in sorted(cases)
+    )
+    return ("{\n" + lines + "\n}\n").encode()
+
+
 def uncommitted_changes(repo_root=None):
     """Guarded-tree paths with uncommitted changes (empty when the
     tree is clean or this is not a git checkout)."""
@@ -218,6 +368,11 @@ def main(argv=None, repo_root=None, out_dir=None) -> int:
         "--force", action="store_true",
         help="regenerate even with uncommitted pipeline changes",
     )
+    parser.add_argument(
+        "--differential", action="store_true",
+        help="freeze the differential suites' worlds "
+        f"({DIFFERENTIAL_FIXTURE.name}) instead of the goldens",
+    )
     args = parser.parse_args(argv)
 
     dirty = uncommitted_changes(repo_root)
@@ -233,6 +388,16 @@ def main(argv=None, repo_root=None, out_dir=None) -> int:
         return 1
 
     out = Path(out_dir) if out_dir is not None else FIXTURE.parent
+    if args.differential:
+        pinned = differential_bytes(build_differential("reference"))
+        if differential_bytes(build_differential("vector")) != pinned:
+            print("error: vector backend disagrees with reference",
+                  file=sys.stderr)
+            return 1
+        (out / DIFFERENTIAL_FIXTURE.name).write_bytes(pinned)
+        print(f"wrote {out / DIFFERENTIAL_FIXTURE.name} "
+              f"({len(json.loads(pinned))} worlds)")
+        return 0
     batch = _write(out / FIXTURE.name, build_survey())
     print(f"wrote {out / FIXTURE.name} "
           f"({len(batch['reports'])} reports)")

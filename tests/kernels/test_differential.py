@@ -128,6 +128,30 @@ def degenerate_dataset():
     return dataset
 
 
+def dirty_traceroutes():
+    """A day of clean traceroutes plus a NaN timestamp, an
+    out-of-period clock and an all-NaN public hop."""
+    from tests.core.test_lastmile import (
+        hop,
+        traceroute,
+        typical_traceroute,
+    )
+
+    results = [
+        typical_traceroute(
+            timestamp=i * 200.0, public_rtt=3.0 + (i % 7)
+        )
+        for i in range(120)
+    ]
+    results.append(typical_traceroute(timestamp=float("nan")))
+    results.append(typical_traceroute(timestamp=-50.0))
+    results.append(traceroute([
+        hop(1, "192.168.1.1", [0.5] * 3),
+        hop(2, "60.0.0.1", [float("nan")] * 3),
+    ], timestamp=400.0))
+    return results
+
+
 def classify_both(dataset, **kwargs):
     reference = classify_dataset(
         dataset, PERIOD, kernels="reference", **kwargs
@@ -273,29 +297,10 @@ class TestStageLevelEquivalence:
             assert np.array_equal(a.contributing, b.contributing)
 
     def test_estimation_identical_on_dirty_traceroutes(self):
-        from tests.core.test_lastmile import (
-            hop,
-            traceroute,
-            typical_traceroute,
-        )
-
         grid = TimeGrid(
             MeasurementPeriod("d", dt.datetime(2019, 9, 2), 1)
         )
-        results = [
-            typical_traceroute(
-                timestamp=i * 200.0, public_rtt=3.0 + (i % 7)
-            )
-            for i in range(120)
-        ]
-        # NaN timestamp, out-of-period clock, all-NaN public hop.
-        results.append(typical_traceroute(timestamp=float("nan")))
-        results.append(typical_traceroute(timestamp=-50.0))
-        results.append(traceroute([
-            hop(1, "192.168.1.1", [0.5] * 3),
-            hop(2, "60.0.0.1", [float("nan")] * 3),
-        ], timestamp=400.0))
-
+        results = dirty_traceroutes()
         ref_quality = DataQualityReport()
         vec_quality = DataQualityReport()
         a = estimate_probe_series(
