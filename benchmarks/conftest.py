@@ -137,11 +137,39 @@ def tokyo_datasets(tokyo_study):
 BENCH_KERNELS_JSON = Path(__file__).parent.parent / "BENCH_kernels.json"
 
 
+def machine_block() -> dict:
+    """The host a benchmark ran on: cores, CPU model, Python, numpy,
+    scipy."""
+    import os
+    import platform
+    from importlib import metadata
+
+    model = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as cpuinfo:
+            for line in cpuinfo:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": model,
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+        "scipy": metadata.version("scipy"),
+    }
+
+
 def record_kernel_bench(stage: str, reference_s: float, vector_s: float):
     """Upsert one stage's reference/vector rows into BENCH_kernels.json.
 
-    The file is a flat list of {stage, backend, wall_ms, speedup}
-    rows — the perf trajectory the ROADMAP tracks.  Rows are keyed on
+    The file holds the ``machine`` the numbers were taken on and a
+    flat ``stages`` list of {stage, backend, wall_ms, speedup} rows —
+    the perf trajectory the ROADMAP tracks.  ``reference`` rows time
+    the oracle loops of :mod:`repro.core.kernels.reference`,
+    ``vector`` rows the production functions.  Rows are keyed on
     (stage, backend) so re-running any bench refreshes its own rows
     without clobbering the others'.  Returns the stage speedup.
     """
@@ -151,6 +179,8 @@ def record_kernel_bench(stage: str, reference_s: float, vector_s: float):
     rows = []
     if BENCH_KERNELS_JSON.exists():
         rows = json.loads(BENCH_KERNELS_JSON.read_text())
+        if isinstance(rows, dict):
+            rows = rows["stages"]
     rows = [r for r in rows if r["stage"] != stage]
     rows.append({
         "stage": stage, "backend": "reference",
@@ -162,7 +192,9 @@ def record_kernel_bench(stage: str, reference_s: float, vector_s: float):
         "speedup": round(speedup, 2),
     })
     rows.sort(key=lambda r: (r["stage"], r["backend"]))
-    BENCH_KERNELS_JSON.write_text(json.dumps(rows, indent=1) + "\n")
+    BENCH_KERNELS_JSON.write_text(json.dumps(
+        {"machine": machine_block(), "stages": rows}, indent=1
+    ) + "\n")
     return speedup
 
 

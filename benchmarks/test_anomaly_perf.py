@@ -1,7 +1,8 @@
 """E14 — anomaly-pipeline benchmarks (not a paper figure).
 
 Times the per-link differential-median stage — the anomaly detector's
-hottest loop — on both kernel backends at survey scale (400 links x
+hottest loop — against the reference oracle's per-link loop at survey
+scale (400 links x
 7 days x 3 traceroutes/bin x 9 differential samples) and writes the
 results as machine-readable ``BENCH_anomaly.json`` at the repo root::
 
@@ -9,7 +10,7 @@ results as machine-readable ``BENCH_anomaly.json`` at the repo root::
                       "vector_ms": ..., "speedup": ...},
      "detect": {"links": ..., "wall_ms": ...}}
 
-The vector backend reuses the last-mile grouped-median kernel on
+The production path reuses the last-mile grouped-median kernel on
 link-shaped rows, and must clear the same 3x bar that justified it.
 """
 
@@ -23,8 +24,8 @@ import pytest
 
 from conftest import write_report
 from repro.anomaly import LinkObservations, detect_anomalies, link_bin_medians
+from repro.anomaly.links import link_id
 from repro.core.kernels.reference import REFERENCE
-from repro.core.kernels.vector import VECTOR
 from repro.timebase import MeasurementPeriod, TimeGrid
 
 BENCH_ANOMALY_JSON = Path(__file__).parent.parent / "BENCH_anomaly.json"
@@ -76,28 +77,42 @@ def observations():
     return obs
 
 
+def reference_link_medians(observations, min_samples=3):
+    """The oracle's per-link loop: one reference ``bin_medians`` call
+    per link row."""
+    keyed = {link_id(*key): key for key in observations.counts}
+    link_ids = sorted(keyed)
+    num_bins = observations.grid.num_bins
+    medians = np.full((len(link_ids), num_bins), np.nan)
+    counts = np.zeros((len(link_ids), num_bins), dtype=np.int64)
+    for row, name in enumerate(link_ids):
+        for bin_index, n in observations.counts[keyed[name]].items():
+            counts[row, bin_index] = n
+        bins = observations.samples.get(keyed[name], {})
+        sample_bins = sorted(bins)
+        medians[row], _valid = REFERENCE.bin_medians(
+            sample_bins, [bins[b] for b in sample_bins], counts[row],
+            num_bins, min_samples,
+        )
+    return link_ids, medians, counts
+
+
 def test_perf_link_medians_3x(observations):
     """Grouped differential medians over every (link, bin) cell: the
     single-lexsort vector pass must beat the per-link reference loop
     by at least 3x — the bar that justified routing the anomaly
     pipeline through the shared kernels."""
-    ref_ids, ref_medians, ref_counts = link_bin_medians(
-        observations, kernels=REFERENCE
+    ref_ids, ref_medians, ref_counts = reference_link_medians(
+        observations
     )
-    vec_ids, vec_medians, vec_counts = link_bin_medians(
-        observations, kernels=VECTOR
-    )
+    vec_ids, vec_medians, vec_counts = link_bin_medians(observations)
     # Equivalence first, so the timings compare equal outputs.
     assert ref_ids == vec_ids
     assert np.array_equal(ref_medians, vec_medians, equal_nan=True)
     assert np.array_equal(ref_counts, vec_counts)
 
-    reference_s = best_of(
-        lambda: link_bin_medians(observations, kernels=REFERENCE)
-    )
-    vector_s = best_of(
-        lambda: link_bin_medians(observations, kernels=VECTOR)
-    )
+    reference_s = best_of(lambda: reference_link_medians(observations))
+    vector_s = best_of(lambda: link_bin_medians(observations))
     speedup = reference_s / vector_s if vector_s > 0 else float("inf")
     record_anomaly_bench("link-medians", {
         "links": NUM_LINKS, "bins": GRID.num_bins,

@@ -1,27 +1,41 @@
-"""E13 — kernel backend benchmarks (not a paper figure).
+"""E13 — kernel benchmarks (not a paper figure).
 
-Times the reference loops against the vectorized kernels on each hot
-stage at survey scale (200 probes x 7 days) and writes the results as
-machine-readable ``BENCH_kernels.json`` at the repo root::
+Times the reference oracle's loops (:mod:`repro.core.kernels.reference`)
+against the production kernels on each hot stage at survey scale
+(200 probes x 7 days) and writes the results as machine-readable
+``BENCH_kernels.json`` at the repo root::
 
-    [{"stage": ..., "backend": ..., "wall_ms": ..., "speedup": ...}]
+    {"machine": {...},
+     "stages": [{"stage": ..., "backend": ..., "wall_ms": ...,
+                 "speedup": ...}]}
 
 ``speedup`` on a vector row is reference-wall / vector-wall for the
 same stage (reference rows carry 1.0).  The binning+median stage must
-clear the 3x bar that justified the vector backend.
+clear the 3x bar that justified the vectorized kernels.
 """
 
 import datetime as dt
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import BENCH_KERNELS_JSON, record_kernel_bench, write_report
-from repro.core import LastMileDataset, ProbeBinSeries, classify_dataset
+from repro.core import (
+    LastMileDataset,
+    ProbeBinSeries,
+    asns_with_min_probes,
+    classify_dataset,
+    classify_markers,
+)
+from repro.core.kernels.flat import delay_matrix
 from repro.core.kernels.reference import REFERENCE
-from repro.core.kernels.vector import VECTOR
-from repro.io import survey_to_dict
+from repro.core.kernels.vector import (
+    dataset_bin_medians,
+    flatten_samples,
+    markers_batch,
+)
 from repro.timebase import MeasurementPeriod, TimeGrid
 
 NUM_PROBES = 200
@@ -43,8 +57,8 @@ def best_of(fn, repeats=5):
 @pytest.fixture(scope="module")
 def scanned_samples():
     """Pre-scanned (bins, samples, counts) per probe — the exact
-    input both backends' median stage receives after the shared
-    per-result scan, at 200 probes x 7 days x 3 traceroutes/bin."""
+    input the median stage receives after the per-result scan, at
+    200 probes x 7 days x 3 traceroutes/bin."""
     rng = np.random.default_rng(0)
     per_probe = []
     for _ in range(NUM_PROBES):
@@ -87,8 +101,8 @@ def binned_dataset():
 
 def test_perf_bin_medians_3x(scanned_samples):
     """Binning + grouped median, the pipeline's hottest loop: the
-    vector backend's single lexsort pass over the whole dataset must
-    be at least 3x faster than the per-bin reference medians."""
+    single lexsort pass over the whole dataset must be at least 3x
+    faster than the per-bin reference medians."""
 
     def run_reference():
         return [
@@ -99,8 +113,7 @@ def test_perf_bin_medians_3x(scanned_samples):
         ]
 
     def run_vector():
-        probe_rows = []
-        flat_bins = []
+        keys = []
         flat_lists = []
         counts_matrix = np.zeros(
             (NUM_PROBES, GRID.num_bins), dtype=np.int64
@@ -108,12 +121,11 @@ def test_perf_bin_medians_3x(scanned_samples):
         for row, (bins_, lists_, counts) in enumerate(
             scanned_samples
         ):
-            probe_rows.extend([row] * len(bins_))
-            flat_bins.extend(bins_)
+            keys.extend(row * GRID.num_bins + b for b in bins_)
             flat_lists.extend(lists_)
             counts_matrix[row] = counts
-        return VECTOR.dataset_bin_medians(
-            probe_rows, flat_bins, flat_lists,
+        return dataset_bin_medians(
+            *flatten_samples(keys, flat_lists),
             NUM_PROBES, GRID.num_bins, counts_matrix, 3,
         )
 
@@ -148,16 +160,25 @@ def test_perf_stack_delays(binned_dataset):
     """Queueing-delay stacking across the probe population."""
     ids = binned_dataset.probe_ids()
 
+    def run_vector():
+        delays, _dead = delay_matrix(
+            np.stack([
+                binned_dataset.series[p].median_rtt_ms for p in ids
+            ]),
+            np.stack([
+                binned_dataset.series[p].traceroute_counts for p in ids
+            ]),
+            3,
+        )
+        return delays
+
     a = REFERENCE.stack_probe_delays(binned_dataset, ids, 3)
-    b = VECTOR.stack_probe_delays(binned_dataset, ids, 3)
-    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(a, run_vector(), equal_nan=True)
 
     reference_s = best_of(
         lambda: REFERENCE.stack_probe_delays(binned_dataset, ids, 3)
     )
-    vector_s = best_of(
-        lambda: VECTOR.stack_probe_delays(binned_dataset, ids, 3)
-    )
+    vector_s = best_of(run_vector)
     speedup = record_kernel_bench("stack-delays", reference_s, vector_s)
     write_report(
         "kernels_stack_delays",
@@ -180,7 +201,7 @@ def test_perf_markers_batch(binned_dataset):
     ]
 
     assert (
-        VECTOR.markers_batch(signals, GRID.bin_seconds)
+        markers_batch(signals, GRID.bin_seconds)
         == REFERENCE.markers_batch(signals, GRID.bin_seconds)
     )
 
@@ -188,7 +209,7 @@ def test_perf_markers_batch(binned_dataset):
         lambda: REFERENCE.markers_batch(signals, GRID.bin_seconds)
     )
     vector_s = best_of(
-        lambda: VECTOR.markers_batch(signals, GRID.bin_seconds)
+        lambda: markers_batch(signals, GRID.bin_seconds)
     )
     speedup = record_kernel_bench("markers-batch", reference_s, vector_s)
     write_report(
@@ -201,8 +222,24 @@ def test_perf_markers_batch(binned_dataset):
     assert speedup > 0
 
 
+def reference_classify(dataset):
+    """The per-AS survey loop on the oracle: reference queueing-delay
+    rows and one ``nanmedian`` per AS, then per-signal markers."""
+    groups = asns_with_min_probes(dataset.probe_meta, min_probes=3)
+    signals = []
+    for probe_ids in groups.values():
+        stacked = REFERENCE.stack_probe_delays(dataset, probe_ids, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            signals.append(np.nanmedian(stacked, axis=0))
+    markers = REFERENCE.markers_batch(signals, GRID.bin_seconds)
+    return {
+        asn: classify_markers(m) for asn, m in zip(groups, markers)
+    }
+
+
 def test_perf_classify_dataset_end_to_end():
-    """Whole classify_dataset wall-clock, both backends."""
+    """Whole classify_dataset wall-clock against the oracle's loop."""
     rng = np.random.default_rng(3)
     from repro.atlas import ProbeMeta
 
@@ -229,16 +266,19 @@ def test_perf_classify_dataset_end_to_end():
             )
             prb_id += 1
 
-    reference = classify_dataset(dataset, PERIOD, kernels="reference")
-    vector = classify_dataset(dataset, PERIOD, kernels="vector")
-    assert survey_to_dict(vector) == survey_to_dict(reference)
+    reference = reference_classify(dataset)
+    vector = classify_dataset(dataset, PERIOD)
+    assert {
+        asn: report.classification
+        for asn, report in vector.reports.items()
+    } == reference
 
-    reference_s = best_of(lambda: classify_dataset(
-        dataset, PERIOD, kernels="reference"
-    ), repeats=3)
-    vector_s = best_of(lambda: classify_dataset(
-        dataset, PERIOD, kernels="vector"
-    ), repeats=3)
+    reference_s = best_of(
+        lambda: reference_classify(dataset), repeats=3
+    )
+    vector_s = best_of(
+        lambda: classify_dataset(dataset, PERIOD), repeats=3
+    )
     speedup = record_kernel_bench(
         "classify-dataset", reference_s, vector_s
     )

@@ -84,9 +84,26 @@ def test_perf_estimation(benchmark, one_probe_day):
     assert series.valid_mask().sum() > 40
 
 
+def reference_probe_series(results, grid):
+    """The oracle's per-probe estimation: the per-traceroute scan with
+    :func:`lastmile_samples`, then one ``numpy.median`` per bin."""
+    from repro.core.kernels.reference import REFERENCE
+    from repro.core.lastmile import _scan_results
+
+    counts = np.zeros(grid.num_bins, dtype=np.int64)
+    _, _, sample_bins, sample_lists = _scan_results(
+        results, grid, None, lastmile_samples, None, counts
+    )
+    medians, _ = REFERENCE.bin_medians(
+        sample_bins, sample_lists, counts, grid.num_bins, 3
+    )
+    return medians, counts
+
+
 def test_perf_estimation_backends(one_probe_day):
-    """Reference vs vector estimate_probe_series, recorded into the
-    BENCH_kernels.json perf trajectory alongside the kernel benches."""
+    """The reference oracle's estimation vs estimate_probe_series,
+    recorded into the BENCH_kernels.json perf trajectory alongside the
+    kernel benches."""
     import time
 
     from conftest import record_kernel_bench
@@ -94,14 +111,10 @@ def test_perf_estimation_backends(one_probe_day):
     _platform, _probes, results = one_probe_day
     grid = TimeGrid(DAY)
 
-    reference = estimate_probe_series(results, grid, kernels="reference")
-    vector = estimate_probe_series(results, grid, kernels="vector")
-    assert np.array_equal(
-        reference.median_rtt_ms, vector.median_rtt_ms, equal_nan=True
-    )
-    assert np.array_equal(
-        reference.traceroute_counts, vector.traceroute_counts
-    )
+    medians, counts = reference_probe_series(results, grid)
+    vector = estimate_probe_series(results, grid)
+    assert np.array_equal(medians, vector.median_rtt_ms, equal_nan=True)
+    assert np.array_equal(counts, vector.traceroute_counts)
 
     def best_of(fn, repeats=5):
         best = float("inf")
@@ -111,12 +124,8 @@ def test_perf_estimation_backends(one_probe_day):
             best = min(best, time.perf_counter() - start)
         return best
 
-    reference_s = best_of(
-        lambda: estimate_probe_series(results, grid, kernels="reference")
-    )
-    vector_s = best_of(
-        lambda: estimate_probe_series(results, grid, kernels="vector")
-    )
+    reference_s = best_of(lambda: reference_probe_series(results, grid))
+    vector_s = best_of(lambda: estimate_probe_series(results, grid))
     speedup = record_kernel_bench(
         "estimate-probe-series", reference_s, vector_s
     )

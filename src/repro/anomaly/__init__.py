@@ -11,8 +11,8 @@ Stages:
 1. :mod:`repro.anomaly.links` scans traceroutes once into per-link
    differential-RTT observations (pairwise reply subtraction across
    each adjacent responding hop pair) plus next-hop counts.
-2. :mod:`repro.anomaly.detect` routes the per-(link, bin) medians
-   through the shared :mod:`repro.core.kernels` backends, wraps each
+2. :mod:`repro.anomaly.detect` computes the per-(link, bin) medians
+   in one pass of the shared :mod:`repro.core.kernels`, wraps each
    bin in a Wilson rank band, learns a per-link per-time-of-day
    "normal" reference, and emits delay events (band stops overlapping
    the reference) and forwarding events (next-hop distribution shift)

@@ -1,9 +1,9 @@
 """Wilson-band anomaly detection over per-link differential RTT.
 
 Detection follows Fontugne et al.: each (link, bin) population of
-differential samples gets a median — computed through the shared
-:mod:`repro.core.kernels` backends, so reference and vector runs are
-bit-identical — and a closed-form Wilson rank band
+differential samples gets a median — computed by the shared
+:mod:`repro.core.kernels` grouped-median pass, the same one the
+last-mile estimator runs — and a closed-form Wilson rank band
 (:func:`repro.core.stats.wilson_score_interval`).  A per-link *normal*
 reference is learned per time-of-day slot (median across days of the
 per-bin medians and band edges), which makes recurring diurnal
@@ -16,7 +16,7 @@ total-variation distance from its reference pattern.
 Everything downstream of the scan is deterministic: link rows are
 processed in sorted id order, events are emitted in sorted order, and
 payload floats are rounded once at serialization — the properties the
-byte-identical cross-kernel/cross-shard contract rests on.
+byte-identical cross-shard contract rests on.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.kernels import record_kernel_op, resolve_kernels
+from ..core.kernels import record_kernel_op
+from ..core.kernels.vector import dataset_bin_medians, flatten_samples
 from ..core.stats import churn_jaccard, wilson_score_interval
 from ..obs import get_observer
 from ..quality import DataQualityReport
@@ -51,6 +52,10 @@ MIN_REFERENCE_BINS = 2
 
 PAYLOAD_KIND = "anomaly-report"
 
+#: Links per grouped-median call: bounds the flat sample arrays (and
+#: the sort's scratch) to a slice of the scan instead of all of it.
+LINK_CHUNK = 16
+
 
 def _round(value: float, digits: int = 4) -> Optional[float]:
     """JSON-safe float: round, and map non-finite to None."""
@@ -62,19 +67,16 @@ def _round(value: float, digits: int = 4) -> Optional[float]:
 def link_bin_medians(
     observations: LinkObservations,
     min_samples: int = DEFAULT_MIN_SAMPLES,
-    kernels=None,
 ) -> Tuple[List[str], np.ndarray, np.ndarray]:
-    """Kernel-routed per-(link, bin) differential medians.
+    """Per-(link, bin) differential medians in one grouped pass.
 
     Links are rows (sorted id order), bins are columns — the same flat
-    ``(row, bin, samples)`` shape the last-mile estimator feeds the
-    backends, so both backends are reused unchanged: the batched
-    backend computes the whole matrix in one grouped-median pass, the
-    reference backend iterates rows.  Returns
+    ``(row, bin, samples)`` shape the last-mile estimator feeds
+    :func:`~repro.core.kernels.vector.dataset_bin_medians`, which
+    computes the whole matrix at once.  Returns
     ``(link_ids, median_matrix, counts_matrix)``; bins under
     ``min_samples`` observing traceroutes stay NaN.
     """
-    kern = resolve_kernels(kernels)
     grid = observations.grid
     num_bins = grid.num_bins
     keyed = {link_id(*key): key for key in observations.counts}
@@ -85,31 +87,20 @@ def link_bin_medians(
         for bin_index, n in observations.counts[keyed[name]].items():
             counts_matrix[row, bin_index] = n
 
-    record_kernel_op(kern.name, "anomaly-link-medians")
-    if getattr(kern, "batched", False):
-        rows: List[int] = []
-        sample_bins: List[int] = []
-        sample_lists: List[List[float]] = []
-        for row, name in enumerate(link_ids):
-            bins = observations.samples.get(keyed[name], {})
-            for bin_index in sorted(bins):
-                rows.append(row)
-                sample_bins.append(bin_index)
-                sample_lists.append(bins[bin_index])
-        medians, _valid = kern.dataset_bin_medians(
-            rows, sample_bins, sample_lists, num_links, num_bins,
-            counts_matrix, min_samples,
-        )
-        return link_ids, medians, counts_matrix
-
+    record_kernel_op("anomaly-link-medians")
     medians = np.full((num_links, num_bins), np.nan)
-    for row, name in enumerate(link_ids):
-        bins = observations.samples.get(keyed[name], {})
-        sample_bins = sorted(bins)
-        sample_lists = [bins[b] for b in sample_bins]
-        medians[row], _valid = kern.bin_medians(
-            sample_bins, sample_lists, counts_matrix[row], num_bins,
-            min_samples,
+    for start in range(0, num_links, LINK_CHUNK):
+        stop = min(start + LINK_CHUNK, num_links)
+        keys: List[int] = []
+        sample_lists: List[List[float]] = []
+        for row in range(start, stop):
+            bins = observations.samples.get(keyed[link_ids[row]], {})
+            for bin_index in sorted(bins):
+                keys.append((row - start) * num_bins + bin_index)
+                sample_lists.append(bins[bin_index])
+        medians[start:stop], _valid = dataset_bin_medians(
+            *flatten_samples(keys, sample_lists), stop - start,
+            num_bins, counts_matrix[start:stop], min_samples,
         )
     return link_ids, medians, counts_matrix
 
@@ -240,7 +231,6 @@ def detect_anomalies(
     grid: TimeGrid,
     period_name: str = "",
     *,
-    kernels=None,
     confidence: float = DEFAULT_CONFIDENCE,
     min_samples: int = DEFAULT_MIN_SAMPLES,
     forwarding_threshold: float = DEFAULT_FORWARDING_THRESHOLD,
@@ -255,20 +245,18 @@ def detect_anomalies(
     :func:`reference_from_payload` / :func:`merge_references`); when
     absent the period self-references per time-of-day slot.  The
     returned report's payload is deterministic: byte-identical across
-    kernel backends and across ``shards`` values.
+    ``shards`` values.
     """
-    kern = resolve_kernels(kernels)
     obs = get_observer()
     with obs.stage_span(
-        STAGE, probes=len(results_by_probe), kernel=kern.name,
-        shards=shards,
+        STAGE, probes=len(results_by_probe), shards=shards,
     ):
         scan = scan_links(
             results_by_probe, grid, quality=quality, shards=shards
         )
         obs.items_in(STAGE, scan.processed)
         link_ids, medians, counts = link_bin_medians(
-            scan, min_samples=min_samples, kernels=kern
+            scan, min_samples=min_samples
         )
         keyed = {name: split_link_id(name) for name in link_ids}
         num_links, num_bins = len(link_ids), grid.num_bins

@@ -33,9 +33,8 @@
   committed period, ``--reference-periods`` judges against history;
 * ``info``     — version and layout.
 
-``survey`` and ``classify`` accept ``--kernels reference|vector`` to
-select the analysis backend (both produce identical output; see
-``repro.core.kernels``).
+The analysis runs on one vectorized path (``repro.core.kernels``);
+there is no backend to select.
 
 ``survey`` and ``inject`` accept ``--trace`` (print the span tree) and
 ``--metrics-out PATH`` (write the full observability report as JSON,
@@ -94,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="ignore --cache-dir (neither read nor write entries)",
     )
-    _add_kernels_flag(survey)
     survey.add_argument(
         "--archive", default=None, metavar="DIR",
         help="also commit every period into the longitudinal survey "
@@ -131,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         "repro.io.save_lastmile",
     )
     classify.add_argument("--min-probes", type=int, default=3)
-    _add_kernels_flag(classify)
 
     stream = sub.add_parser(
         "stream",
@@ -179,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the constant-memory P² median for open bins "
         "instead of exact buffered medians (results approximate)",
     )
-    _add_kernels_flag(stream)
     _add_obs_flags(stream)
 
     inject = sub.add_parser(
@@ -497,21 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH",
         help="write the report payload JSON to PATH",
     )
-    _add_kernels_flag(anomaly)
     _add_obs_flags(anomaly)
 
     sub.add_parser("info", help="print version and package layout")
     return parser
-
-
-def _add_kernels_flag(parser: argparse.ArgumentParser) -> None:
-    from .core.kernels import available_kernels
-
-    parser.add_argument(
-        "--kernels", default=None, choices=available_kernels(),
-        help="analysis kernel backend (default: $REPRO_KERNELS if "
-        "set, else reference); both produce identical output",
-    )
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -607,7 +592,7 @@ def _run_survey(args) -> int:
         print(f"running {period.name}...", flush=True)
         result, world = run_survey_period(
             specs, period, seed=args.seed, workers=args.workers,
-            cache=cache, kernels=args.kernels,
+            cache=cache,
         )
         suite.add(result)
         print("  " + render_survey_headline(result))
@@ -755,7 +740,6 @@ def cmd_classify(args) -> int:
     dataset = load_lastmile(args.dataset)
     result = classify_dataset(
         dataset, dataset.grid.period, min_probes=args.min_probes,
-        kernels=args.kernels,
     )
     if not result.reports:
         print("no AS qualifies (need >= "
@@ -823,7 +807,7 @@ def _run_stream(args) -> int:
     records = dataset_to_records(dataset)
     engine = StreamingSurvey(
         period, min_probes=args.min_probes, table=table,
-        kernels=args.kernels, approximate=args.approximate,
+        approximate=args.approximate,
     )
     writer = None
     if args.archive:
@@ -835,8 +819,7 @@ def _run_stream(args) -> int:
 
     print(
         f"streaming {len(records)} records into period {period.name} "
-        f"({engine.kernels.name} kernels, "
-        f"{'P²' if args.approximate else 'exact'} medians)",
+        f"({'P²' if args.approximate else 'exact'} medians)",
         flush=True,
     )
     since_checkpoint = 0
@@ -1479,7 +1462,6 @@ def _run_anomaly(args) -> int:
             ])
         report = detect_anomalies(
             dataset.results, grid, period_name=args.period,
-            kernels=args.kernels,
             confidence=(
                 args.confidence if args.confidence is not None
                 else DEFAULT_CONFIDENCE

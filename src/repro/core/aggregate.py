@@ -25,7 +25,8 @@ from ..netbase.errors import EmptyPopulationError
 from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
 from ..timebase import TimeGrid
-from .kernels import record_kernel_op, resolve_kernels
+from .kernels import record_kernel_op
+from .kernels.flat import delay_matrix
 from .lastmile import MIN_TRACEROUTES_PER_BIN
 from .series import LastMileDataset, ProbeBinSeries
 
@@ -94,7 +95,6 @@ def aggregate_population(
     min_traceroutes: int = MIN_TRACEROUTES_PER_BIN,
     min_probes_per_bin: int = 1,
     quality: Optional[DataQualityReport] = None,
-    kernels=None,
 ) -> AggregatedSignal:
     """Median queueing delay across a probe population, per bin.
 
@@ -104,18 +104,12 @@ def aggregate_population(
     no requested probe has a series — callers with failure isolation
     (the survey) catch it and quarantine the population.  Probes that
     contribute no valid bin at all are noted on ``quality``.
-    ``kernels`` selects how the queueing-delay rows are stacked
-    (:func:`repro.core.kernels.resolve_kernels`); backends are
-    numerically identical by contract.
     """
     if probe_ids is None:
         probe_ids = dataset.probe_ids()
     requested = list(probe_ids)
-    kern = resolve_kernels(kernels)
     obs = get_observer()
-    with obs.stage_span(
-        "aggregate", probes=len(requested), kernel=kern.name
-    ):
+    with obs.stage_span("aggregate", probes=len(requested)):
         probe_ids = [p for p in requested if p in dataset.series]
         obs.items_in(STAGE, len(requested))
         if quality is not None:
@@ -133,12 +127,16 @@ def aggregate_population(
                 f"no probes to aggregate (requested {len(requested)})"
             )
 
-        record_kernel_op(kern.name, "stack-delays")
-        stacked = kern.stack_probe_delays(
-            dataset, probe_ids, min_traceroutes
+        record_kernel_op("stack-delays")
+        stacked, dead_rows = delay_matrix(
+            np.stack([dataset.series[p].median_rtt_ms for p in probe_ids]),
+            np.stack([
+                dataset.series[p].traceroute_counts for p in probe_ids
+            ]),
+            min_traceroutes,
         )
         if quality is not None:
-            dead = int(np.sum(np.all(np.isnan(stacked), axis=1)))
+            dead = int(dead_rows.sum())
             if dead:
                 quality.degrade(
                     STAGE, DropReason.NO_VALID_BINS, n=dead,

@@ -1,10 +1,6 @@
 """The flat survey pass: whole-dataset arrays built once, used by
 every stage.
 
-The vector backend's batched entry points still walked Python
-structures per probe (the traceroute scan) and per AS (one
-``nanmedian`` call each).  This module removes those loops:
-
 * :func:`scan_lastmile_flat` — one pass over a probe's traceroutes
   producing flat ``(bin, sample)`` arrays directly: hop addresses are
   classified once per distinct address (they repeat for the whole
@@ -18,20 +14,21 @@ structures per probe (the traceroute scan) and per AS (one
   queueing-delay rows derived from them in one 2-D pass mirroring
   :func:`~repro.core.aggregate.probe_queuing_delay` row for row.
 * :func:`population_median_pass` — per-AS aggregated medians and
-  contributing counts for *every* AS in one
-  :func:`~repro.core.kernels.vector.grouped_median` call over
-  ``group * num_bins + bin`` keys of the NaN-filtered delay values.
-  ``numpy.nanmedian`` over a matrix column is by definition the
-  median of that column's non-NaN members, so feeding only non-NaN
-  values keyed by (group, bin) is bit-identical — all-NaN columns
-  become empty groups and yield NaN, as ``nanmedian`` (warning
-  suppressed) does.
+  contributing counts for *every* AS in one pass: a NaN-padded
+  (group x bin x probe) cube sorted along its last axis, or, past a
+  size cap, one :func:`~repro.core.kernels.vector.grouped_median`
+  call over ``group * num_bins + bin`` keys of the NaN-filtered delay
+  values.  ``numpy.nanmedian`` over a matrix column is by definition
+  the median of that column's non-NaN members, so both are
+  bit-identical to it — all-NaN columns become empty groups and yield
+  NaN, as ``nanmedian`` (warning suppressed) does.
 
-Equivalence with the reference path is a hard contract, enforced by
-``tests/kernels/test_flat_pass.py`` and the differential suite: same
-series, same signals, same quality-ledger events in the same order.
-Quality accounting therefore stays *per record, in record order* —
-only the numeric work is batched.
+Equivalence with the per-item loops of :mod:`.reference` (the test
+oracle) is a hard contract, enforced by ``tests/kernels`` and the
+pinned fixtures under ``tests/golden``: same series, same signals,
+same quality-ledger events in the same order.  Quality accounting
+therefore stays *per record, in record order* — only the numeric
+work is batched.
 """
 
 from __future__ import annotations
@@ -241,55 +238,6 @@ def scan_lastmile_flat(
     )
 
 
-def flat_bin_medians(
-    sample_bins: np.ndarray,
-    sample_values: np.ndarray,
-    counts: np.ndarray,
-    num_bins: int,
-    min_traceroutes: int,
-) -> Tuple[np.ndarray, int]:
-    """Per-bin medians from flat per-sample arrays (one probe).
-
-    The flat-array twin of :meth:`VectorKernels.bin_medians`: bins
-    with at least one sample *and* ``counts >= min_traceroutes`` get
-    the grouped median of their samples; everything else stays NaN.
-    """
-    medians = np.full(num_bins, np.nan)
-    if not len(sample_bins):
-        return medians, 0
-    counts = np.asarray(counts)
-    grouped = grouped_median(sample_bins, sample_values, num_bins)
-    sampled = np.zeros(num_bins, dtype=bool)
-    sampled[np.unique(sample_bins)] = True
-    estimated = sampled & (counts >= min_traceroutes)
-    medians[estimated] = grouped[estimated]
-    return medians, int(estimated.sum())
-
-
-def flat_dataset_bin_medians(
-    sample_keys: np.ndarray,
-    sample_values: np.ndarray,
-    num_probes: int,
-    num_bins: int,
-    counts_matrix: np.ndarray,
-    min_traceroutes: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Whole-dataset medians from flat ``probe * num_bins + bin`` keys."""
-    medians = np.full((num_probes, num_bins), np.nan)
-    if not len(sample_keys):
-        return medians, np.zeros(num_probes, dtype=np.int64)
-    counts_matrix = np.asarray(counts_matrix)
-    grouped = grouped_median(
-        sample_keys, sample_values, num_probes * num_bins
-    ).reshape(num_probes, num_bins)
-    sampled = np.zeros(num_probes * num_bins, dtype=bool)
-    sampled[np.unique(sample_keys)] = True
-    sampled = sampled.reshape(num_probes, num_bins)
-    estimated = sampled & (counts_matrix >= min_traceroutes)
-    medians[estimated] = grouped[estimated]
-    return medians, estimated.sum(axis=1).astype(np.int64)
-
-
 def dataset_matrices(
     dataset,
 ) -> Tuple[Dict[int, int], np.ndarray, np.ndarray]:
@@ -399,34 +347,30 @@ def _cube_median_pass(
     lengths: np.ndarray,
     max_rows: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Population medians via a NaN-padded (group x bin x probe) cube.
+    """Population medians via a NaN-padded (bin x group x probe) cube.
 
     Group memberships are known up front, so instead of sorting
     ``group * num_bins + bin`` keys we gather each group's delay rows
-    into a padded cube (missing slots point at an all-NaN pad row)
-    and take the exact ``0.5 * (lo + hi)`` midpoint along the last
-    axis — the same arithmetic as :func:`numpy.nanmedian` and
+    into a padded cube (pad slots are NaN) and take the exact
+    ``0.5 * (lo + hi)`` midpoint along the last axis — the same
+    arithmetic as :func:`numpy.nanmedian` and
     :func:`~repro.core.kernels.vector.grouped_median`, with one sort
     of a contiguous axis instead of an argsort over all keys.
     """
     num_groups = len(group_rows)
-    num_bins = delays.shape[1]
-    pad_row = delays.shape[0]
-    delays_ext = np.vstack(
-        [delays, np.full((1, num_bins), np.nan)]
-    )
-    row_index = np.full(
-        (num_groups, max_rows), pad_row, dtype=np.int64
-    )
+    row_index = np.zeros((num_groups, max_rows), dtype=np.int64)
+    padded = np.ones((num_groups, max_rows), dtype=bool)
     for group, rows in enumerate(group_rows):
         row_index[group, : lengths[group]] = rows
-    # (group, bin, probe-slot), contiguous so the sort stays cheap.
-    cube = np.ascontiguousarray(
-        delays_ext[row_index].transpose(0, 2, 1)
-    )
-    present = ~np.isnan(cube)
-    contributing = present.sum(axis=2).astype(np.int64)
-    cube[~present] = np.inf
+        padded[group, : lengths[group]] = False
+    # (bin, group, probe-slot): one gather, contiguous along the slots
+    # so the sort stays cheap; pad slots become NaN.
+    cube = delays.T[:, row_index]
+    cube[:, padded] = np.nan
+    missing = np.isnan(cube)
+    contributing = max_rows - missing.sum(axis=2)
+    cube[missing] = np.inf
+    del missing
     cube.sort(axis=2)
     lo_idx = np.where(contributing > 0, (contributing - 1) // 2, 0)
     hi_idx = contributing // 2
@@ -434,4 +378,7 @@ def _cube_median_pass(
     hi = np.take_along_axis(cube, hi_idx[:, :, None], axis=2)[:, :, 0]
     medians = 0.5 * (lo + hi)
     medians[contributing == 0] = np.nan
-    return medians, contributing
+    return (
+        np.ascontiguousarray(medians.T),
+        np.ascontiguousarray(contributing.T, dtype=np.int64),
+    )

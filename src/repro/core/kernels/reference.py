@@ -1,12 +1,15 @@
-"""The reference kernel backend: the original per-item Python loops.
+"""The reference kernels: the original per-item Python loops.
 
 Every method is a verbatim transplant of the loop the pipeline ran
-before the backend seam existed, so this backend *is* the paper's
-prose: per-bin :func:`numpy.median` calls, one
+before it was vectorized, so this module *is* the paper's prose:
+per-bin :func:`numpy.median` calls, one
 :func:`~repro.core.aggregate.probe_queuing_delay` per probe, one
-:func:`~repro.core.spectral.extract_markers` per signal.  The
-differential-equivalence suite treats it as ground truth for the
-``vector`` backend.
+:func:`~repro.core.spectral.extract_markers` per signal.
+
+It is a test oracle, not a runtime path: no module of the pipeline
+imports it.  ``tests/kernels`` proves the production functions of
+:mod:`.vector` and :mod:`.flat` bit-identical to these loops, and the
+kernel benchmarks time the two against each other.
 """
 
 from __future__ import annotations
@@ -18,10 +21,6 @@ import numpy as np
 
 class ReferenceKernels:
     """Loop implementations of the four pipeline hot spots."""
-
-    name = "reference"
-    #: No whole-dataset / whole-survey batching: callers iterate.
-    batched = False
 
     def bin_medians(
         self,
@@ -86,5 +85,5 @@ class ReferenceKernels:
         ]
 
 
-#: The process-wide shared instance (backends are stateless).
+#: The shared instance (the loops are stateless).
 REFERENCE = ReferenceKernels()

@@ -27,7 +27,9 @@ from ..atlas.traceroute import Hop, TracerouteResult
 from ..obs import get_observer, maybe_profiled
 from ..quality import DataQualityReport, DropReason
 from ..timebase import TimeGrid
-from .kernels import record_kernel_op, resolve_kernels
+from .kernels import record_kernel_op
+from .kernels.flat import scan_lastmile_flat
+from .kernels.vector import dataset_bin_medians, flatten_samples
 from .series import LastMileDataset, ProbeBinSeries
 
 #: The paper's disconnected-probe sanity threshold.
@@ -149,12 +151,15 @@ def _scan_results(
 ) -> Tuple[Optional[int], int, List[int], List[List[float]]]:
     """Stages 1–3 for one probe: timestamp gating, binning, sampling.
 
-    The reference scan — edge semantics (NaN timestamps,
-    out-of-period clocks, sample-less traceroutes) are decided here.
-    Flat backends use :func:`repro.core.kernels.flat.scan_lastmile_flat`,
-    which replicates these semantics exactly (the differential suite
-    proves the outputs and quality events byte-identical); any change
-    here must be mirrored there.  Increments ``counts`` in place; returns
+    The scan for a caller-supplied ``sample_fn`` (e.g.
+    :func:`e2e_samples`), and the model the streaming engine mirrors
+    record by record: edge semantics (NaN timestamps, out-of-period
+    clocks, sample-less traceroutes) are decided here.  The default
+    last-mile sampling
+    uses :func:`repro.core.kernels.flat.scan_lastmile_flat`, which
+    replicates these semantics exactly (``tests/kernels`` proves the
+    outputs and quality events byte-identical); any change here must
+    be mirrored there.  Increments ``counts`` in place; returns
     ``(prb_id, processed, sample_bins, sample_lists)`` where
     ``sample_lists[i]`` is the non-empty sample list of the i-th
     sampled traceroute and ``sample_bins[i]`` its bin.
@@ -209,6 +214,35 @@ def _scan_results(
     return prb_id, processed, sample_bins, sample_lists
 
 
+def _scan_probe(
+    results: Iterable[TracerouteResult],
+    grid: TimeGrid,
+    prb_id: Optional[int],
+    sample_fn,
+    quality: Optional[DataQualityReport],
+    counts: np.ndarray,
+) -> Tuple[Optional[int], int, np.ndarray, np.ndarray]:
+    """Stages 1–3 for one probe as flat per-sample (bin, value) arrays.
+
+    The default last-mile sampling runs the flat scan
+    (:func:`~repro.core.kernels.flat.scan_lastmile_flat`); a
+    caller-supplied ``sample_fn`` goes through :func:`_scan_results`.
+    Both keep the same edge semantics and quality events.
+    """
+    if sample_fn is None:
+        scan = scan_lastmile_flat(results, grid, prb_id, quality, counts)
+        return (
+            scan.prb_id, scan.processed,
+            scan.sample_bins, scan.sample_values,
+        )
+    prb_id, processed, sample_bins, sample_lists = _scan_results(
+        results, grid, prb_id, sample_fn, quality, counts
+    )
+    return (prb_id, processed) + flatten_samples(
+        sample_bins, sample_lists
+    )
+
+
 def estimate_probe_series(
     results: Iterable[TracerouteResult],
     grid: TimeGrid,
@@ -216,7 +250,6 @@ def estimate_probe_series(
     min_traceroutes: int = MIN_TRACEROUTES_PER_BIN,
     sample_fn=None,
     quality: Optional[DataQualityReport] = None,
-    kernels=None,
 ) -> ProbeBinSeries:
     """Binned last-mile medians for one probe's traceroutes.
 
@@ -224,9 +257,7 @@ def estimate_probe_series(
     first result when not given; an empty input needs it explicitly.
     ``sample_fn`` swaps the per-traceroute sample extractor (default
     :func:`lastmile_samples`; pass :func:`e2e_samples` for a naive
-    end-to-end analysis).  ``kernels`` selects the median backend
-    (:func:`repro.core.kernels.resolve_kernels`); both backends are
-    numerically identical by contract.
+    end-to-end analysis).
 
     Dirty-input behavior: results whose timestamp is non-finite are
     dropped as malformed before binning (they do not count toward bin
@@ -236,50 +267,23 @@ def estimate_probe_series(
     are all non-finite — still count toward the bin's sanity count
     but are flagged; all three are recorded on ``quality`` when given.
     """
-    kern = resolve_kernels(kernels)
     obs = get_observer()
     counts = np.zeros(grid.num_bins, dtype=np.int64)
-    if sample_fn is None and getattr(kern, "flat", False):
-        # Flat scan: same edge semantics and quality events, proven
-        # byte-identical by the differential suite; the pairwise
-        # sampling runs vectorized instead of per traceroute.
-        from .kernels.flat import scan_lastmile_flat
-
-        scan = scan_lastmile_flat(
-            results, grid, prb_id, quality, counts
-        )
-        prb_id, processed = scan.prb_id, scan.processed
-        if prb_id is None:
-            raise ValueError("empty result set and no prb_id given")
-        record_kernel_op(kern.name, "bin-medians")
-        medians, valid_bins = kern.flat_bin_medians(
-            scan.sample_bins, scan.sample_values, counts,
-            grid.num_bins, min_traceroutes,
-        )
-        obs.items_in(STAGE, processed)
-        obs.items_out(STAGE, valid_bins)
-        return ProbeBinSeries(
-            prb_id=prb_id,
-            median_rtt_ms=medians,
-            traceroute_counts=counts,
-        )
-    if sample_fn is None:
-        sample_fn = lastmile_samples
-    prb_id, processed, sample_bins, sample_lists = _scan_results(
+    prb_id, processed, sample_bins, sample_values = _scan_probe(
         results, grid, prb_id, sample_fn, quality, counts
     )
     if prb_id is None:
         raise ValueError("empty result set and no prb_id given")
-    record_kernel_op(kern.name, "bin-medians")
-    medians, valid_bins = kern.bin_medians(
-        sample_bins, sample_lists, counts, grid.num_bins,
-        min_traceroutes,
+    record_kernel_op("bin-medians")
+    medians, valid_bins = dataset_bin_medians(
+        sample_bins, sample_values, 1, grid.num_bins,
+        counts[None, :], min_traceroutes,
     )
     obs.items_in(STAGE, processed)
-    obs.items_out(STAGE, valid_bins)
+    obs.items_out(STAGE, int(valid_bins[0]))
     return ProbeBinSeries(
         prb_id=prb_id,
-        median_rtt_ms=medians,
+        median_rtt_ms=medians[0],
         traceroute_counts=counts,
     )
 
@@ -291,88 +295,34 @@ def estimate_dataset(
     min_traceroutes: int = MIN_TRACEROUTES_PER_BIN,
     sample_fn=None,
     quality: Optional[DataQualityReport] = None,
-    kernels=None,
 ) -> LastMileDataset:
     """Run the estimation for every probe of a measurement dataset.
 
-    A batched backend (``vector``) estimates every probe in one
-    grouped-median pass over flat ``(probe, bin, sample)`` arrays;
-    the reference backend iterates :func:`estimate_probe_series`.
-    Output is identical either way.
+    Each probe is scanned in turn (so quality accounting follows
+    record order), then one grouped-median pass over flat
+    ``(probe, bin, sample)`` arrays estimates every probe at once.
     """
-    kern = resolve_kernels(kernels)
     obs = get_observer()
-    with obs.stage_span(
-        "lastmile", probes=len(results_by_probe), kernel=kern.name
-    ):
-        if getattr(kern, "batched", False):
-            return _estimate_dataset_batched(
-                results_by_probe, grid, probe_meta, min_traceroutes,
-                sample_fn, quality, kern,
-            )
+    with obs.stage_span("lastmile", probes=len(results_by_probe)):
         dataset = LastMileDataset(grid=grid)
-        for prb_id, results in results_by_probe.items():
-            series = estimate_probe_series(
-                results, grid, prb_id=prb_id,
-                min_traceroutes=min_traceroutes, sample_fn=sample_fn,
-                quality=quality, kernels=kern,
-            )
-            meta = probe_meta.get(prb_id) if probe_meta else None
-            dataset.add(series, meta=meta)
-        return dataset
-
-
-def _estimate_dataset_batched(
-    results_by_probe: Dict[int, List[TracerouteResult]],
-    grid: TimeGrid,
-    probe_meta: Optional[Dict[int, object]],
-    min_traceroutes: int,
-    sample_fn,
-    quality: Optional[DataQualityReport],
-    kern,
-) -> LastMileDataset:
-    """Whole-dataset flat-array path for batched kernel backends.
-
-    Scans every probe with the same per-result scan the serial path
-    uses (so quality accounting is identical), then hands the kernel
-    one flat ``(probe_row, bin, samples)`` batch covering the whole
-    dataset.
-    """
-    obs = get_observer()
-    dataset = LastMileDataset(grid=grid)
-    order = list(results_by_probe.items())
-    counts_matrix = np.zeros(
-        (len(order), grid.num_bins), dtype=np.int64
-    )
-    processed_total = 0
-    if sample_fn is None and getattr(kern, "flat", False):
-        from .kernels.flat import scan_lastmile_flat
-
-        key_chunks: List[np.ndarray] = []
-        value_chunks: List[np.ndarray] = []
+        order = list(results_by_probe.items())
+        num_bins = grid.num_bins
+        counts_matrix = np.zeros((len(order), num_bins), dtype=np.int64)
+        processed_total = 0
+        key_chunks: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        value_chunks: List[np.ndarray] = [np.zeros(0)]
         for row, (prb_id, results) in enumerate(order):
-            scan = scan_lastmile_flat(
-                results, grid, prb_id, quality, counts_matrix[row]
+            _, processed, sample_bins, sample_values = _scan_probe(
+                results, grid, prb_id, sample_fn, quality,
+                counts_matrix[row],
             )
-            processed_total += scan.processed
-            if len(scan.sample_bins):
-                key_chunks.append(
-                    row * grid.num_bins + scan.sample_bins
-                )
-                value_chunks.append(scan.sample_values)
-        sample_keys = (
-            np.concatenate(key_chunks) if key_chunks
-            else np.zeros(0, dtype=np.int64)
-        )
-        sample_values = (
-            np.concatenate(value_chunks) if value_chunks
-            else np.zeros(0, dtype=np.float64)
-        )
-        record_kernel_op(kern.name, "dataset-bin-medians")
-        medians, valid_per_probe = kern.flat_dataset_bin_medians(
-            sample_keys, sample_values,
-            len(order), grid.num_bins, counts_matrix,
-            min_traceroutes,
+            processed_total += processed
+            key_chunks.append(row * num_bins + sample_bins)
+            value_chunks.append(sample_values)
+        record_kernel_op("dataset-bin-medians")
+        medians, valid_per_probe = dataset_bin_medians(
+            np.concatenate(key_chunks), np.concatenate(value_chunks),
+            len(order), num_bins, counts_matrix, min_traceroutes,
         )
         obs.items_in(STAGE, processed_total)
         obs.items_out(STAGE, int(valid_per_probe.sum()))
@@ -385,33 +335,3 @@ def _estimate_dataset_batched(
             meta = probe_meta.get(prb_id) if probe_meta else None
             dataset.add(series, meta=meta)
         return dataset
-    if sample_fn is None:
-        sample_fn = lastmile_samples
-    probe_rows: List[int] = []
-    sample_bins: List[int] = []
-    sample_lists: List[List[float]] = []
-    for row, (prb_id, results) in enumerate(order):
-        _, processed, bins_, lists_ = _scan_results(
-            results, grid, prb_id, sample_fn, quality,
-            counts_matrix[row],
-        )
-        processed_total += processed
-        probe_rows.extend([row] * len(bins_))
-        sample_bins.extend(bins_)
-        sample_lists.extend(lists_)
-    record_kernel_op(kern.name, "dataset-bin-medians")
-    medians, valid_per_probe = kern.dataset_bin_medians(
-        probe_rows, sample_bins, sample_lists,
-        len(order), grid.num_bins, counts_matrix, min_traceroutes,
-    )
-    obs.items_in(STAGE, processed_total)
-    obs.items_out(STAGE, int(valid_per_probe.sum()))
-    for row, (prb_id, _results) in enumerate(order):
-        series = ProbeBinSeries(
-            prb_id=prb_id,
-            median_rtt_ms=medians[row],
-            traceroute_counts=counts_matrix[row],
-        )
-        meta = probe_meta.get(prb_id) if probe_meta else None
-        dataset.add(series, meta=meta)
-    return dataset

@@ -20,11 +20,7 @@ from ..netbase.errors import EmptyPopulationError, TransientFaultError
 from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
 from ..timebase import MeasurementPeriod
-from .aggregate import (
-    STAGE as AGGREGATE_STAGE,
-    AggregatedSignal,
-    aggregate_population,
-)
+from .aggregate import STAGE as AGGREGATE_STAGE, AggregatedSignal
 from .classify import (
     Classification,
     ClassificationThresholds,
@@ -33,10 +29,16 @@ from .classify import (
     classify_markers,
 )
 from .filtering import asns_with_min_probes
-from .kernels import record_kernel_op, resolve_kernels
+from .kernels import record_kernel_op
+from .kernels.flat import (
+    dataset_matrices,
+    delay_matrix,
+    population_median_pass,
+)
+from .kernels.vector import markers_batch
 from .lastmile import MIN_TRACEROUTES_PER_BIN
 from .series import LastMileDataset
-from .spectral import STAGE as SPECTRAL_STAGE, extract_markers
+from .spectral import STAGE as SPECTRAL_STAGE
 
 STAGE = "core-survey"
 
@@ -149,172 +151,51 @@ class SurveyResult:
         ])
 
 
-def classify_single_asn(
-    dataset: LastMileDataset,
-    asn: int,
-    probe_ids: Sequence[int],
-    thresholds: ClassificationThresholds = DEFAULT_THRESHOLDS,
-    quality: Optional[DataQualityReport] = None,
-    max_attempts: int = 2,
-    keep_signal: bool = False,
-    log=None,
-    kernels=None,
-) -> Tuple[Optional[ASReport], Optional[ASFailure], Optional[object]]:
-    """Run the aggregate → spectral → classify chain for one AS.
-
-    The unit of work both the serial survey loop and the sharded
-    executor (:mod:`repro.parallel`) share, so the two paths cannot
-    drift.  Returns ``(report, failure, signal)`` where exactly one of
-    ``report``/``failure`` is set; ``signal`` is the aggregated signal
-    when ``keep_signal`` and classification succeeded.
-
-    Failures are isolated exactly as :func:`classify_dataset`
-    documents: :class:`TransientFaultError` is retried up to
-    ``max_attempts`` times, any terminal error becomes an
-    :class:`ASFailure` recorded on ``quality`` (never a raised
-    exception).
-    """
-    obs = get_observer()
-    kern = resolve_kernels(kernels)
-    if log is None:
-        log = obs.logger.bind(stage=STAGE)
-    with obs.span("classify", asn=asn):
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                signal = aggregate_population(
-                    dataset, probe_ids, quality=quality, kernels=kern
-                )
-                markers = extract_markers(
-                    signal.delay_ms, dataset.grid.bin_seconds
-                )
-                break
-            except TransientFaultError as exc:
-                if attempts < max_attempts:
-                    continue
-                log.warning(
-                    "as-failed", asn=asn,
-                    error=type(exc).__name__, attempts=attempts,
-                )
-                return None, _build_failure(
-                    asn, exc, attempts, quality
-                ), None
-            except Exception as exc:  # noqa: BLE001 — per-AS isolation
-                log.warning(
-                    "as-failed", asn=asn,
-                    error=type(exc).__name__, attempts=attempts,
-                )
-                return None, _build_failure(
-                    asn, exc, attempts, quality
-                ), None
-        if markers is None and quality is not None:
-            quality.degrade(
-                STAGE, DropReason.DEGENERATE_SIGNAL,
-                detail=f"AS{asn}: signal too flat/short/gappy; "
-                "classified None",
-            )
-        classification = classify_markers(markers, thresholds)
-        report = ASReport(
-            asn=asn,
-            probe_count=len(probe_ids),
-            classification=classification,
-        )
-        return report, None, (signal if keep_signal else None)
-
-
 def classify_asn_batch(
     dataset: LastMileDataset,
     ordered_groups: Sequence[Tuple[int, Sequence[int]]],
     thresholds: ClassificationThresholds = DEFAULT_THRESHOLDS,
     max_attempts: int = 2,
     keep_signals: bool = False,
-    kernels=None,
     quality_for=None,
     log=None,
 ) -> List[Tuple[int, Optional[ASReport], Optional[ASFailure],
                 Optional[object]]]:
-    """Classify many ASes, batching marker extraction in one call.
+    """Run the aggregate → spectral → classify chain for many ASes.
 
-    The batched twin of looping :func:`classify_single_asn`: each
-    AS's aggregation keeps its own retry/isolation envelope (that is
-    where faults strike), then marker extraction for every surviving
-    signal runs as one ``markers_batch`` kernel call — for the
-    ``vector`` backend a single :func:`scipy.signal.welch` over the
-    (AS x bins) matrix.  Hoisting extraction out of the retry loop is
-    safe because it is total: it maps degenerate signals to None
-    instead of raising.
+    The unit of work the serial survey, the shard workers
+    (:mod:`repro.parallel`) and the streaming engine share, so the
+    paths cannot drift.  Every AS's population is aggregated through
+    the flat survey pass (:func:`_aggregate_populations`, where each
+    AS keeps its own retry/isolation envelope), then marker extraction
+    for every surviving signal runs as one :func:`markers_batch` call
+    — a single :func:`scipy.signal.welch` over the (AS x bins) matrix.
+    Extraction sits outside the retry envelope because it is total: it
+    maps degenerate signals to None instead of raising.
 
     ``quality_for(asn)`` supplies the ledger each AS's accounting
     lands on (the serial survey shares one, shard workers keep one
     per AS); None means no accounting.  Returns
-    ``(asn, report, failure, signal)`` tuples in input order, with
-    ``signal`` retained only when ``keep_signals``.
+    ``(asn, report, failure, signal)`` tuples in input order, where
+    exactly one of ``report``/``failure`` is set and ``signal`` is
+    retained only when ``keep_signals``.
     """
-    kern = resolve_kernels(kernels)
     obs = get_observer()
     if log is None:
         log = obs.logger.bind(stage=STAGE)
     if quality_for is None:
         quality_for = lambda asn: None  # noqa: E731
-    staged: List[Tuple[int, Sequence[int], Optional[object],
-                       Optional[ASFailure]]] = []
-    if getattr(kern, "flat", False):
-        staged = _stage_populations_flat(
-            dataset, ordered_groups, quality_for, kern,
-            max_attempts, obs, log,
-        )
-    else:
-        for asn, probe_ids in ordered_groups:
-            quality = quality_for(asn)
-            signal = None
-            failure = None
-            with obs.span("classify", asn=asn):
-                attempts = 0
-                while True:
-                    attempts += 1
-                    try:
-                        signal = aggregate_population(
-                            dataset, probe_ids, quality=quality,
-                            kernels=kern,
-                        )
-                        break
-                    except TransientFaultError as exc:
-                        if attempts < max_attempts:
-                            continue
-                        log.warning(
-                            "as-failed", asn=asn,
-                            error=type(exc).__name__,
-                            attempts=attempts,
-                        )
-                        failure = _build_failure(
-                            asn, exc, attempts, quality
-                        )
-                        break
-                    except Exception as exc:  # noqa: BLE001
-                        log.warning(
-                            "as-failed", asn=asn,
-                            error=type(exc).__name__,
-                            attempts=attempts,
-                        )
-                        failure = _build_failure(
-                            asn, exc, attempts, quality
-                        )
-                        break
-            staged.append((asn, probe_ids, signal, failure))
-
+    staged = _aggregate_populations(
+        dataset, ordered_groups, quality_for, max_attempts, obs, log,
+    )
     survivors = [
         entry for entry in staged if entry[3] is None
     ]
     signals = [signal.delay_ms for _, _, signal, _ in survivors]
-    with obs.stage_span(
-        "spectral", kernel=kern.name, signals=len(signals)
-    ):
+    with obs.stage_span("spectral", signals=len(signals)):
         obs.items_in(SPECTRAL_STAGE, len(signals))
-        record_kernel_op(kern.name, "markers-batch", len(signals))
-        markers_list = kern.markers_batch(
-            signals, dataset.grid.bin_seconds
-        )
+        record_kernel_op("markers-batch", len(signals))
+        markers_list = markers_batch(signals, dataset.grid.bin_seconds)
         obs.items_out(
             SPECTRAL_STAGE,
             sum(markers is not None for markers in markers_list),
@@ -348,11 +229,10 @@ def classify_asn_batch(
     return outcomes
 
 
-def _stage_populations_flat(
+def _aggregate_populations(
     dataset: LastMileDataset,
     ordered_groups: Sequence[Tuple[int, Sequence[int]]],
     quality_for,
-    kern,
     max_attempts: int,
     obs,
     log,
@@ -360,62 +240,24 @@ def _stage_populations_flat(
                 Optional[ASFailure]]]:
     """Aggregate every AS through the flat survey pass.
 
-    The array-driven twin of the per-AS ``aggregate_population``
-    loop: the (probe x bin) delay matrix is built once for the whole
-    dataset, each AS's envelope (span, retry, quality accounting,
-    :class:`EmptyPopulationError` isolation) only *gathers* its row
-    indices, and a single ``population_medians`` kernel call computes
-    every AS's aggregated signal at the end.  Quality events land on
-    each AS's ledger in the same order ``aggregate_population`` emits
-    them (ingest → missing-series drop → dead-probe degrade), so the
-    ledgers are byte-identical to the per-AS path.
-    """
-    from .kernels.flat import dataset_matrices, delay_matrix
+    The (probe x bin) delay matrix is built once for the whole
+    dataset; each AS's envelope (span, retry, isolation) only
+    *gathers* its row indices (:func:`_gather_population`), and a
+    single :func:`population_median_pass` computes every AS's
+    aggregated signal at the end.  Quality events land on each AS's
+    ledger in the order :func:`~repro.core.aggregate.aggregate_population`
+    emits them (ingest → missing-series drop → dead-probe degrade).
 
+    Failures are *isolated*: a :class:`TransientFaultError` is retried
+    up to ``max_attempts`` times, and any terminal error becomes an
+    :class:`ASFailure` recorded on the AS's ledger, never a raised
+    exception.
+    """
     index, medians_matrix, counts_matrix = dataset_matrices(dataset)
     delays, dead = delay_matrix(
         medians_matrix, counts_matrix, MIN_TRACEROUTES_PER_BIN
     )
-
-    def gather(probe_ids, quality):
-        requested = list(probe_ids)
-        with obs.stage_span(
-            "aggregate", probes=len(requested), kernel=kern.name
-        ):
-            present = [p for p in requested if p in dataset.series]
-            obs.items_in(AGGREGATE_STAGE, len(requested))
-            if quality is not None:
-                quality.ingest(AGGREGATE_STAGE, n=len(requested))
-                missing = len(requested) - len(present)
-                if missing:
-                    quality.drop(
-                        AGGREGATE_STAGE, DropReason.NO_VALID_BINS,
-                        n=missing,
-                        detail=(
-                            f"{missing} probes have metadata but "
-                            "no series"
-                        ),
-                    )
-            if not present:
-                raise EmptyPopulationError(
-                    f"no probes to aggregate "
-                    f"(requested {len(requested)})"
-                )
-            rows = np.fromiter(
-                (index[p] for p in present),
-                dtype=np.int64, count=len(present),
-            )
-            if quality is not None:
-                dead_count = int(dead[rows].sum())
-                if dead_count:
-                    quality.degrade(
-                        AGGREGATE_STAGE, DropReason.NO_VALID_BINS,
-                        n=dead_count,
-                        detail=f"{dead_count} probes contributed "
-                        "no valid bin",
-                    )
-            obs.items_out(AGGREGATE_STAGE, len(present))
-            return rows
+    del medians_matrix, counts_matrix
 
     gathered: List[Tuple[int, Sequence[int], Optional[np.ndarray],
                          Optional[ASFailure]]] = []
@@ -423,40 +265,32 @@ def _stage_populations_flat(
         quality = quality_for(asn)
         rows = None
         failure = None
+        # One span per AS (aggregate nests under it) so the renderer
+        # can collapse the fan-out into one line.
         with obs.span("classify", asn=asn):
             attempts = 0
             while True:
                 attempts += 1
                 try:
-                    rows = gather(probe_ids, quality)
-                    break
-                except TransientFaultError as exc:
-                    if attempts < max_attempts:
-                        continue
-                    log.warning(
-                        "as-failed", asn=asn,
-                        error=type(exc).__name__, attempts=attempts,
-                    )
-                    failure = _build_failure(
-                        asn, exc, attempts, quality
+                    rows = _gather_population(
+                        dataset, probe_ids, quality, index, dead
                     )
                     break
                 except Exception as exc:  # noqa: BLE001 — isolation
-                    log.warning(
-                        "as-failed", asn=asn,
-                        error=type(exc).__name__, attempts=attempts,
-                    )
+                    if (
+                        isinstance(exc, TransientFaultError)
+                        and attempts < max_attempts
+                    ):
+                        continue
                     failure = _build_failure(
-                        asn, exc, attempts, quality
+                        asn, exc, attempts, quality, log
                     )
                     break
         gathered.append((asn, probe_ids, rows, failure))
 
     survivors = [entry for entry in gathered if entry[3] is None]
-    record_kernel_op(
-        kern.name, "population-medians", len(survivors)
-    )
-    medians, contributing = kern.population_medians(
+    record_kernel_op("population-medians", len(survivors))
+    medians, contributing = population_median_pass(
         delays, [rows for _, _, rows, _ in survivors]
     )
     signals = {}
@@ -478,6 +312,55 @@ def _stage_populations_flat(
     ]
 
 
+def _gather_population(
+    dataset: LastMileDataset,
+    probe_ids: Sequence[int],
+    quality: Optional[DataQualityReport],
+    index: Dict[int, int],
+    dead: np.ndarray,
+) -> np.ndarray:
+    """One AS's share of the flat pass: its rows of the delay matrix.
+
+    Books the aggregation stage's accounting (ingest, probes without a
+    series, probes without a valid bin) and raises
+    :class:`EmptyPopulationError` when no requested probe has a
+    series.  ``index`` maps probe ids to matrix rows, ``dead`` flags
+    rows without any valid bin.
+    """
+    obs = get_observer()
+    requested = list(probe_ids)
+    with obs.stage_span("aggregate", probes=len(requested)):
+        present = [p for p in requested if p in dataset.series]
+        obs.items_in(AGGREGATE_STAGE, len(requested))
+        if quality is not None:
+            quality.ingest(AGGREGATE_STAGE, n=len(requested))
+            missing = len(requested) - len(present)
+            if missing:
+                quality.drop(
+                    AGGREGATE_STAGE, DropReason.NO_VALID_BINS,
+                    n=missing,
+                    detail=f"{missing} probes have metadata but no series",
+                )
+        if not present:
+            raise EmptyPopulationError(
+                f"no probes to aggregate (requested {len(requested)})"
+            )
+        rows = np.fromiter(
+            (index[p] for p in present),
+            dtype=np.int64, count=len(present),
+        )
+        if quality is not None:
+            dead_count = int(dead[rows].sum())
+            if dead_count:
+                quality.degrade(
+                    AGGREGATE_STAGE, DropReason.NO_VALID_BINS,
+                    n=dead_count,
+                    detail=f"{dead_count} probes contributed no valid bin",
+                )
+        obs.items_out(AGGREGATE_STAGE, len(present))
+        return rows
+
+
 def classify_dataset(
     dataset: LastMileDataset,
     period: MeasurementPeriod,
@@ -489,7 +372,6 @@ def classify_dataset(
     max_attempts: int = 2,
     workers: Optional[int] = None,
     cache=None,
-    kernels=None,
 ) -> SurveyResult:
     """Classify every qualifying AS of one period's dataset.
 
@@ -508,13 +390,8 @@ def classify_dataset(
     sharded executor (:func:`repro.parallel.classify_dataset_sharded`),
     which produces identical results for any worker count.  Unlike the
     scenario entry points, ``workers=None`` here always means the
-    serial loop below — the environment knob is not consulted, so
+    serial path below — the environment knob is not consulted, so
     instrumentation-sensitive callers keep their span structure.
-
-    ``kernels`` selects the analysis backend
-    (:func:`repro.core.kernels.resolve_kernels`).  A batched backend
-    (``vector``) routes through :func:`classify_asn_batch`; results
-    are numerically identical either way by contract.
     """
     if workers is not None or cache is not None:
         from ..parallel import classify_dataset_sharded
@@ -523,9 +400,8 @@ def classify_dataset(
             dataset, period, workers=workers or 1,
             min_probes=min_probes, thresholds=thresholds, table=table,
             keep_signals=keep_signals, quality=quality,
-            max_attempts=max_attempts, cache=cache, kernels=kernels,
+            max_attempts=max_attempts, cache=cache,
         )
-    kern = resolve_kernels(kernels)
     obs = get_observer()
     log = obs.logger.bind(stage=STAGE, period=period.name)
     result = SurveyResult(
@@ -533,46 +409,26 @@ def classify_dataset(
         quality=quality if quality is not None else DataQualityReport(),
     )
     quality = result.quality
-    with obs.stage_span(
-        "classify-dataset", period=period.name, kernel=kern.name
-    ) as outer:
+    with obs.stage_span("classify-dataset", period=period.name) as outer:
         groups = asns_with_min_probes(
             dataset.probe_meta, min_probes=min_probes, table=table,
             quality=quality,
         )
         obs.items_in(STAGE, len(groups))
         log.info("classify-start", ases=len(groups))
-        if getattr(kern, "batched", False):
-            outcomes = classify_asn_batch(
-                dataset, list(groups.items()),
-                thresholds=thresholds, max_attempts=max_attempts,
-                keep_signals=keep_signals, kernels=kern,
-                quality_for=lambda asn: quality, log=log,
-            )
-            for asn, report, failure, signal in outcomes:
-                if failure is not None:
-                    result.failures[asn] = failure
-                    continue
-                result.reports[asn] = report
-                if keep_signals and signal is not None:
-                    result.signals[asn] = signal
-        else:
-            for asn, probe_ids in groups.items():
-                # One span per AS (aggregate/spectral nest under it)
-                # so the renderer can collapse the fan-out into one
-                # line.
-                report, failure, signal = classify_single_asn(
-                    dataset, asn, probe_ids,
-                    thresholds=thresholds, quality=quality,
-                    max_attempts=max_attempts,
-                    keep_signal=keep_signals, log=log, kernels=kern,
-                )
-                if failure is not None:
-                    result.failures[asn] = failure
-                    continue
-                result.reports[asn] = report
-                if keep_signals and signal is not None:
-                    result.signals[asn] = signal
+        outcomes = classify_asn_batch(
+            dataset, list(groups.items()),
+            thresholds=thresholds, max_attempts=max_attempts,
+            keep_signals=keep_signals,
+            quality_for=lambda asn: quality, log=log,
+        )
+        for asn, report, failure, signal in outcomes:
+            if failure is not None:
+                result.failures[asn] = failure
+                continue
+            result.reports[asn] = report
+            if keep_signals and signal is not None:
+                result.signals[asn] = signal
         obs.items_out(STAGE, len(result.reports))
         outer.set_attr("reported", len(result.reported_asns()))
         outer.set_attr("failures", len(result.failures))
@@ -614,8 +470,14 @@ def _build_failure(
     exc: Exception,
     attempts: int,
     quality: Optional[DataQualityReport],
+    log,
 ) -> ASFailure:
-    """An :class:`ASFailure` for one error, recorded on the ledger."""
+    """An :class:`ASFailure` for one error, logged and recorded on the
+    ledger."""
+    log.warning(
+        "as-failed", asn=asn,
+        error=type(exc).__name__, attempts=attempts,
+    )
     if quality is not None:
         quality.drop(
             STAGE, DropReason.AS_FAILURE,

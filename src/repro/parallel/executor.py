@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.classify import ClassificationThresholds, DEFAULT_THRESHOLDS
 from ..core.filtering import asns_with_min_probes
-from ..core.kernels import resolve_kernels
 from ..core.series import LastMileDataset
 from ..core.survey import (
     ASFailure,
@@ -107,7 +106,6 @@ def run_survey_period_parallel(
     fault_seed: int = 0,
     fault_log=None,
     cache=None,
-    kernels=None,
 ) -> Tuple[SurveyResult, object]:
     """Sharded equivalent of :func:`repro.scenarios.run_survey_period`.
 
@@ -116,17 +114,10 @@ def run_survey_period_parallel(
     ``cache`` is a :class:`ResultCache` or a directory path; caching
     is bypassed on fault-injection runs (the corrupted dataset must
     never populate — or be served from — the clean cache).
-
-    ``kernels`` is resolved here (arg > env > default) and its *name*
-    travels inside each shard task, so worker processes use the
-    parent's backend regardless of their own environment.  Cache keys
-    deliberately do not include the backend: outputs are identical by
-    contract, so hits may be served across backends.
     """
     from ..scenarios.worldsurvey import build_survey_world
 
     workers = resolve_workers(workers) or 1
-    kern = resolve_kernels(kernels)
     if lockdown is None:
         lockdown = period.name == "2020-04"
     obs = get_observer()
@@ -135,7 +126,7 @@ def run_survey_period_parallel(
 
     with obs.stage_span(
         "survey-period", period=period.name, ases=len(specs),
-        workers=workers, kernel=kern.name,
+        workers=workers,
     ) as outer:
         with obs.stage_span("load", period=period.name):
             world, platform = build_survey_world(
@@ -204,7 +195,6 @@ def run_survey_period_parallel(
                     lockdown=lockdown, seed=seed, groups=shard,
                     thresholds=thresholds, max_attempts=max_attempts,
                     faults=pinned, fault_seed=fault_seed,
-                    kernels=kern.name,
                     capture_telemetry=obs.enabled,
                     trace_context=obs.tracer.context(),
                 )
@@ -256,7 +246,6 @@ def classify_dataset_sharded(
     quality: Optional[DataQualityReport] = None,
     max_attempts: int = 2,
     cache=None,
-    kernels=None,
 ) -> SurveyResult:
     """Sharded equivalent of :func:`repro.core.classify_dataset`.
 
@@ -266,11 +255,8 @@ def classify_dataset_sharded(
     (:func:`repro.parallel.cache.dataset_as_fingerprint`) and is
     bypassed when ``keep_signals`` is set — signals are not part of
     cache payloads, so serving a hit would silently drop them.
-    ``kernels`` is resolved here and its name rides in each task (see
-    :func:`run_survey_period_parallel`).
     """
     workers = resolve_workers(workers) or 1
-    kern = resolve_kernels(kernels)
     obs = get_observer()
     log = obs.logger.bind(stage=STAGE, period=period.name)
     cache = ResultCache.ensure(cache)
@@ -282,8 +268,7 @@ def classify_dataset_sharded(
     )
     quality = result.quality
     with obs.stage_span(
-        "classify-dataset", period=period.name, workers=workers,
-        kernel=kern.name,
+        "classify-dataset", period=period.name, workers=workers
     ) as outer:
         groups = asns_with_min_probes(
             dataset.probe_meta, min_probes=min_probes, table=table,
@@ -323,7 +308,6 @@ def classify_dataset_sharded(
                 ),
                 groups=shard, thresholds=thresholds,
                 max_attempts=max_attempts, keep_signals=keep_signals,
-                kernels=kern.name,
                 capture_telemetry=obs.enabled,
                 trace_context=obs.tracer.context(),
             )

@@ -39,14 +39,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..core.classify import ClassificationThresholds, DEFAULT_THRESHOLDS
-from ..core.kernels import DEFAULT_KERNELS, resolve_kernels
 from ..core.series import LastMileDataset
-from ..core.survey import (
-    ASFailure,
-    ASReport,
-    classify_asn_batch,
-    classify_single_asn,
-)
+from ..core.survey import ASFailure, ASReport, classify_asn_batch
 from ..faults.base import FaultLog
 from ..quality import DataQualityReport
 from ..timebase import MeasurementPeriod
@@ -97,10 +91,6 @@ class SurveyShardTask:
     #: Dataset injectors with targets already pinned by the parent.
     faults: List = field(default_factory=list)
     fault_seed: int = 0
-    #: The parent's *resolved* kernel backend name — carried in the
-    #: task so a worker's own REPRO_KERNELS environment is irrelevant
-    #: (shard-invariance of the backend choice).
-    kernels: str = DEFAULT_KERNELS
     #: True when the parent runs observed: the worker captures its own
     #: metrics/spans and ships them back as a TelemetrySnapshot.
     capture_telemetry: bool = False
@@ -125,8 +115,6 @@ class DatasetShardTask:
     thresholds: ClassificationThresholds = DEFAULT_THRESHOLDS
     max_attempts: int = 2
     keep_signals: bool = False
-    #: See :class:`SurveyShardTask.kernels`.
-    kernels: str = DEFAULT_KERNELS
     #: See :class:`SurveyShardTask.capture_telemetry`.
     capture_telemetry: bool = False
     #: See :class:`SurveyShardTask.trace_context`.
@@ -201,7 +189,6 @@ def run_survey_shard(task: SurveyShardTask) -> ShardResult:
             )
         outcomes = _classify_groups(
             dataset, task.groups, task.thresholds, task.max_attempts,
-            kernels=task.kernels,
         )
         telemetry = snapshot()
     return ShardResult(
@@ -227,7 +214,6 @@ def run_dataset_shard(task: DatasetShardTask) -> ShardResult:
             outcomes = _classify_groups(
                 dataset, task.groups, task.thresholds,
                 task.max_attempts, keep_signals=task.keep_signals,
-                kernels=task.kernels,
             )
         finally:
             close_dataset()
@@ -285,35 +271,17 @@ def _classify_groups(
     thresholds: ClassificationThresholds,
     max_attempts: int,
     keep_signals: bool = False,
-    kernels: str = DEFAULT_KERNELS,
 ) -> List[ASOutcome]:
-    kern = resolve_kernels(kernels)
-    if getattr(kern, "batched", False):
-        ledgers = {asn: DataQualityReport() for asn in groups}
-        batch = classify_asn_batch(
-            dataset, [(asn, groups[asn]) for asn in sorted(groups)],
-            thresholds=thresholds, max_attempts=max_attempts,
-            keep_signals=keep_signals, kernels=kern,
-            quality_for=ledgers.__getitem__,
+    ledgers = {asn: DataQualityReport() for asn in groups}
+    batch = classify_asn_batch(
+        dataset, [(asn, groups[asn]) for asn in sorted(groups)],
+        thresholds=thresholds, max_attempts=max_attempts,
+        keep_signals=keep_signals, quality_for=ledgers.__getitem__,
+    )
+    return [
+        ASOutcome(
+            asn=asn, report=report, failure=failure,
+            quality=ledgers[asn], signal=signal,
         )
-        return [
-            ASOutcome(
-                asn=asn, report=report, failure=failure,
-                quality=ledgers[asn], signal=signal,
-            )
-            for asn, report, failure, signal in batch
-        ]
-    outcomes = []
-    for asn in sorted(groups):
-        quality = DataQualityReport()
-        report, failure, signal = classify_single_asn(
-            dataset, asn, groups[asn],
-            thresholds=thresholds, quality=quality,
-            max_attempts=max_attempts, keep_signal=keep_signals,
-            kernels=kern,
-        )
-        outcomes.append(ASOutcome(
-            asn=asn, report=report, failure=failure, quality=quality,
-            signal=signal,
-        ))
-    return outcomes
+        for asn, report, failure, signal in batch
+    ]

@@ -301,7 +301,6 @@ def run_survey_period(
     workers: Optional[int] = None,
     cache=None,
     archive=None,
-    kernels=None,
 ) -> Tuple[SurveyResult, World]:
     """Run one period of the world survey end to end.
 
@@ -323,11 +322,6 @@ def run_survey_period(
     path) commits the period's result into the longitudinal archive
     before returning, so every surveyed window lands in durable,
     servable storage as soon as it is classified.
-
-    ``kernels`` selects the analysis backend (see
-    :mod:`repro.core.kernels`): ``"reference"``, ``"vector"``, or
-    ``None`` to consult ``REPRO_KERNELS``.  Survey output is
-    numerically identical across backends by contract.
     """
     from ..obs import get_observer
     from ..parallel import resolve_workers
@@ -340,7 +334,7 @@ def run_survey_period(
             specs, period, workers=resolved or 1, lockdown=lockdown,
             seed=seed, min_probes=min_probes,
             dataset_faults=dataset_faults, fault_seed=fault_seed,
-            fault_log=fault_log, cache=cache, kernels=kernels,
+            fault_log=fault_log, cache=cache,
         )
         if archive is not None:
             _ensure_archive(archive).ingest(result)
@@ -366,7 +360,6 @@ def run_survey_period(
                 )
         result = classify_dataset(
             dataset, period, min_probes=min_probes, table=world.table,
-            kernels=kernels,
         )
     if archive is not None:
         _ensure_archive(archive).ingest(result)
@@ -389,13 +382,11 @@ def run_survey(
     workers: Optional[int] = None,
     cache=None,
     archive=None,
-    kernels=None,
 ) -> Tuple[SurveySuite, EyeballRanking]:
     """Run the full multi-period survey and build the eyeball ranking.
 
-    ``workers``/``cache``/``kernels`` are forwarded to
-    :func:`run_survey_period` (see there); results are identical for
-    any worker count and kernel backend.
+    ``workers``/``cache`` are forwarded to :func:`run_survey_period`
+    (see there); results are identical for any worker count.
 
     ``archive`` (a :class:`repro.store.SurveyArchive` or directory
     path) commits every period — with the eyeball ranking keying the
@@ -407,7 +398,6 @@ def run_survey(
     for period in periods:
         result, last_world = run_survey_period(
             specs, period, seed=seed, workers=workers, cache=cache,
-            kernels=kernels,
         )
         suite.add(result)
     ranking = EyeballRanking.from_registry(

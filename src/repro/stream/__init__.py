@@ -5,9 +5,10 @@ pass.  This package is its incremental twin for continuous operation:
 :class:`StreamingSurvey` ingests records one at a time or in
 micro-batches, keeps exact (or opt-in P² approximate) medians for the
 bins still open, finalizes bins as the watermark passes them through
-the selected kernel backend, and reclassifies only the ASes whose
-inputs changed.  ``tests/stream`` holds the differential harness that
-proves a finalized streaming survey bit-identical to the batch run.
+the batch estimator's grouped-median pass, and reclassifies only the
+ASes whose inputs changed.  ``tests/stream`` holds the differential
+harness that proves a finalized streaming survey bit-identical to the
+batch run.
 """
 
 from .engine import STAGE, StreamingSurvey

@@ -11,16 +11,16 @@ Equivalence contract (enforced by ``tests/stream``): with exact
 medians, a finalized streaming survey is **bit-identical** — under
 :func:`repro.io.survey_to_dict` — to the batch pipeline run over the
 same data, for any arrival order within a bin and any micro-batch
-split, on either kernel backend.  The contract holds because every
-numeric decision is delegated to the same code the batch path runs:
+split.  The contract holds because every numeric decision is
+delegated to the same code the batch path runs:
 
 * timestamp gating, binning and boundary sampling of raw traceroutes
   mirror :func:`repro.core.lastmile._scan_results` decision for
   decision (same quality-ledger entries included);
-* bin finalization calls the selected backend's ``bin_medians`` over
-  the open bin's pooled samples — the exact computation the batch
-  estimator performs, so ``reference``/``vector`` selection applies
-  to streaming runs too;
+* bin finalization runs the batch estimator's grouped-median pass
+  (:func:`repro.core.kernels.vector.dataset_bin_medians`) over the
+  closing bins' pooled samples — the exact computation the batch
+  estimator performs, one call per chunk of closing buffers;
 * classification runs :func:`repro.core.survey.classify_asn_batch`
   over the changed ASes with per-AS quality fragments, and the final
   ledger is assembled in the batch pipeline's stage order.
@@ -53,7 +53,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from ..core.filtering import asns_with_min_probes
-from ..core.kernels import record_kernel_op, resolve_kernels
+from ..core.kernels import record_kernel_op
+from ..core.kernels.vector import dataset_bin_medians, flatten_samples
 from ..core.lastmile import (
     MIN_TRACEROUTES_PER_BIN,
     STAGE as LASTMILE_STAGE,
@@ -75,6 +76,12 @@ from .median import ExactMedian, P2Median
 from .records import ProbeRecord, SampleRecord, TraceRecord
 
 STAGE = "stream-engine"
+
+#: Closing (probe, bin) buffers finalized per grouped-median call.
+#: One call per buffer pays the pass's fixed numpy overhead per bin;
+#: one call over every buffer holds all their samples in flat arrays
+#: at once (DESIGN.md §10 has the measurements).
+FINALIZE_CHUNK = 512
 
 
 @dataclass
@@ -104,7 +111,6 @@ class StreamingSurvey:
         min_probes: int = 3,
         thresholds=DEFAULT_THRESHOLDS,
         table=None,
-        kernels=None,
         approximate: bool = False,
         min_traceroutes: int = MIN_TRACEROUTES_PER_BIN,
         max_attempts: int = 2,
@@ -114,7 +120,6 @@ class StreamingSurvey:
         self.min_probes = min_probes
         self.thresholds = thresholds
         self.table = table
-        self.kernels = resolve_kernels(kernels)
         self.approximate = approximate
         self.min_traceroutes = min_traceroutes
         self.max_attempts = max_attempts
@@ -281,32 +286,47 @@ class StreamingSurvey:
     def close_through(self, bin_index: int) -> int:
         """Finalize all open bins with index ≤ ``bin_index``.
 
-        Exact mode delegates the median to the selected kernel
-        backend's ``bin_medians`` over the bin's pooled samples —
-        bit-identical to the batch estimator; approximate mode reads
-        the P² marker.  Bins under the sanity threshold stay NaN and
-        are booked ``SPARSE_BIN`` on :attr:`engine_quality`.
+        Exact mode runs the batch estimator's grouped-median pass over
+        the closing bins' pooled samples, :data:`FINALIZE_CHUNK`
+        buffers per call — bit-identical to the batch estimator;
+        approximate mode reads the P² marker.  Bins under the sanity
+        threshold stay NaN and are booked ``SPARSE_BIN`` on
+        :attr:`engine_quality`.
         """
         bin_index = min(bin_index, self.grid.num_bins - 1)
         if bin_index <= self._closed_through:
             return 0
-        finalized = 0
-        for key in sorted(k for k in self._open if k[1] <= bin_index):
-            prb_id, b = key
-            estimator = self._open.pop(key)
-            count = int(self._counts[prb_id][b])
-            if self.approximate:
-                value = (
-                    estimator.value()
-                    if count >= self.min_traceroutes else float("nan")
-                )
-            else:
-                medians, _ = self.kernels.bin_medians(
-                    [0], [estimator.samples()],
-                    np.array([count], dtype=np.int64),
-                    1, self.min_traceroutes,
-                )
-                value = float(medians[0])
+        closing = sorted(k for k in self._open if k[1] <= bin_index)
+        for start in range(0, len(closing), FINALIZE_CHUNK):
+            self._finalize(closing[start:start + FINALIZE_CHUNK])
+        if closing:
+            record_kernel_op("bin-medians", len(closing))
+        self._closed_through = bin_index
+        return len(closing)
+
+    def _finalize(self, keys: List[Tuple[int, int]]) -> None:
+        """Close the open buffers ``keys`` (sorted) into the series."""
+        estimators = [self._open.pop(key) for key in keys]
+        counts = np.array(
+            [self._counts[prb_id][b] for prb_id, b in keys],
+            dtype=np.int64,
+        )
+        if self.approximate:
+            values = [
+                estimator.value()
+                if count >= self.min_traceroutes else float("nan")
+                for estimator, count in zip(estimators, counts)
+            ]
+        else:
+            medians, _ = dataset_bin_medians(
+                *flatten_samples(
+                    range(len(keys)),
+                    [estimator.samples() for estimator in estimators],
+                ),
+                len(keys), 1, counts[:, None], self.min_traceroutes,
+            )
+            values = medians[:, 0].tolist()
+        for (prb_id, b), count, value in zip(keys, counts, values):
             if count < self.min_traceroutes:
                 self.sparse_bins += 1
                 self.engine_quality.degrade(
@@ -317,13 +337,6 @@ class StreamingSurvey:
             if not math.isnan(value):
                 self._medians[prb_id][b] = value
                 self._dirty.add(prb_id)
-            finalized += 1
-        if finalized:
-            record_kernel_op(
-                self.kernels.name, "bin-medians", finalized
-            )
-        self._closed_through = bin_index
-        return finalized
 
     # -- classification ------------------------------------------------
 
@@ -366,11 +379,9 @@ class StreamingSurvey:
 
     def _classify(self) -> SurveyResult:
         obs = get_observer()
-        kern = self.kernels
         log = obs.logger.bind(stage=STAGE, period=self.period.name)
         with obs.stage_span(
             "stream-classify", period=self.period.name,
-            kernel=kern.name,
         ) as span:
             dataset = self.dataset()
             filter_quality = DataQualityReport()
@@ -396,7 +407,6 @@ class StreamingSurvey:
             outcomes = classify_asn_batch(
                 dataset, to_run, thresholds=self.thresholds,
                 max_attempts=self.max_attempts, keep_signals=False,
-                kernels=kern,
                 quality_for=lambda asn: fragments[asn], log=log,
             )
             for asn, report, failure, _signal in outcomes:
@@ -433,7 +443,6 @@ class StreamingSurvey:
         return {
             "period": self.period.name,
             "mode": "p2" if self.approximate else "exact",
-            "kernel": self.kernels.name,
             "records_ingested": self.records_ingested,
             "probes": len(self._medians),
             "registered": len(self._meta),

@@ -6,10 +6,12 @@ window closes.  Two estimators back it:
 * :class:`ExactMedian` — a bounded buffer holding every sample of the
   *open* bin (bounded because a bin only lives for ``bin_seconds``;
   memory is proportional to open bins, never the whole period).  Its
-  value is exactly ``numpy.median`` over the samples seen so far, so
-  a closed bin's estimate is bit-identical to the batch pipeline's
-  (:meth:`repro.core.kernels.reference.ReferenceKernels.bin_medians`
-  pools the same samples and calls ``numpy.median`` once).
+  value is exactly ``numpy.median`` over the samples seen so far.
+  The engine finalizes a closed bin from the buffer with the batch
+  pipeline's grouped-median pass
+  (:func:`repro.core.kernels.vector.dataset_bin_medians`), which is
+  bit-equal to ``numpy.median`` over the same pooled samples, so the
+  estimate is bit-identical to the batch pipeline's.
 * :class:`P2Median` — the P² (P-squared) algorithm of Jain & Chlamtac
   (CACM 1985): five markers, constant memory, no buffer.  Opt-in
   approximate mode for deployments where per-bin buffers are too

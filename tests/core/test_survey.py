@@ -250,18 +250,16 @@ class TestFailureIsolation:
         from repro.core import survey as survey_module
         from repro.netbase import TransientFaultError
 
-        real = survey_module.aggregate_population
+        real = survey_module._gather_population
         calls = {"n": 0}
 
-        def flaky(dataset, probe_ids, **kwargs):
+        def flaky(*args):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise TransientFaultError("simulated blip")
-            return real(dataset, probe_ids, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(
-            survey_module, "aggregate_population", flaky
-        )
+        monkeypatch.setattr(survey_module, "_gather_population", flaky)
         dataset = synthetic_dataset([100], [])
         result = classify_dataset(dataset, PERIOD, max_attempts=2)
         assert calls["n"] == 2
@@ -272,11 +270,11 @@ class TestFailureIsolation:
         from repro.core import survey as survey_module
         from repro.netbase import TransientFaultError
 
-        def always_flaky(dataset, probe_ids, **kwargs):
+        def always_flaky(*args):
             raise TransientFaultError("persistent blip")
 
         monkeypatch.setattr(
-            survey_module, "aggregate_population", always_flaky
+            survey_module, "_gather_population", always_flaky
         )
         dataset = synthetic_dataset([100], [])
         result = classify_dataset(dataset, PERIOD, max_attempts=3)

@@ -13,15 +13,16 @@ change.
 
 Rerun it only when the pipeline's *intended* output changes (a
 methodology fix, new thresholds) and commit the refreshed JSON with a
-line in the commit message explaining why the numbers moved.  The
-fixtures are always regenerated with the reference backend; the
-golden tests then check both backends against them.
+line in the commit message explaining why the numbers moved.
 
 ``--differential`` instead freezes ``differential_golden.json``: the
 outputs of every world the pipeline-level differential suites
-(``tests/kernels``, ``tests/anomaly``) compare, generated with the
-reference backend after checking that the vector backend agrees
-byte for byte.
+(``tests/kernels``, ``tests/anomaly``) compare.  That fixture was
+first generated while the per-item reference loops were still a
+selectable pipeline backend, after checking that the vectorized
+backend agreed byte for byte; the pipeline now runs only the
+vectorized path, so the fixture is what keeps the reference loops'
+end-to-end output pinned.
 """
 
 import argparse
@@ -73,18 +74,15 @@ def _specs():
     )
 
 
-def build_survey(kernels="reference"):
-    """The frozen world's survey result (reference backend unless a
-    backend is passed, as the golden test does for both)."""
+def build_survey():
+    """The frozen world's survey result."""
     from repro.scenarios import run_survey_period
 
-    result, _ = run_survey_period(
-        _specs(), _period(), seed=SURVEY_SEED, kernels=kernels
-    )
+    result, _ = run_survey_period(_specs(), _period(), seed=SURVEY_SEED)
     return result
 
 
-def build_streamed_survey(kernels="reference"):
+def build_streamed_survey():
     """The same frozen world replayed through the streaming engine:
     the world's binned dataset decomposed into a record stream and
     fed to :class:`repro.stream.StreamingSurvey`."""
@@ -97,9 +95,7 @@ def build_streamed_survey(kernels="reference"):
         period_name=period.name,
     )
     dataset = platform.run_period_binned(period)
-    engine = StreamingSurvey(
-        period, table=world.table, kernels=kernels
-    )
+    engine = StreamingSurvey(period, table=world.table)
     engine.ingest_many(dataset_to_records(dataset))
     return engine.finalize()
 
@@ -169,7 +165,7 @@ def build_anomaly_dataset():
     return dataset
 
 
-def build_anomaly_report(kernels="reference", shards=1):
+def build_anomaly_report(shards=1):
     """The frozen campaign's anomaly-report payload."""
     import datetime as dt
 
@@ -185,7 +181,7 @@ def build_anomaly_report(kernels="reference", shards=1):
     report = detect_anomalies(
         dataset.results,
         TimeGrid(period, ANOMALY_BIN_SECONDS),
-        period_name=period.name, kernels=kernels, shards=shards,
+        period_name=period.name, shards=shards,
     )
     return report.payload
 
@@ -195,7 +191,110 @@ def _array(values):
     return [v.item() for v in values]
 
 
-def _ledger_case(series, quality):
+def _specs10():
+    from repro.scenarios import generate_specs
+
+    return generate_specs(num_ases=10, num_countries=6, seed=5)
+
+
+def _seeded_survey(**run):
+    """The 10-AS seeded world; ``run`` adds e.g. ``workers``."""
+    from repro.io import survey_to_dict
+    from repro.scenarios import run_survey_period
+    from tests.kernels.test_differential import PERIOD
+
+    result, _ = run_survey_period(_specs10(), PERIOD, seed=7, **run)
+    return survey_to_dict(result)
+
+
+def _faulted_survey(**run):
+    """The seeded world with bin loss, NaN bursts and a poisoned AS."""
+    from repro.faults import FaultLog
+    from repro.io import survey_to_dict
+    from repro.scenarios import run_survey_period
+    from tests.kernels.test_differential import PERIOD, make_faults
+
+    fault_log = FaultLog()
+    result, _ = run_survey_period(
+        _specs10(), PERIOD, seed=7,
+        dataset_faults=make_faults(), fault_seed=3,
+        fault_log=fault_log, **run,
+    )
+    return {
+        "survey": survey_to_dict(result),
+        "fault_counts": dict(sorted(fault_log.counts.items())),
+    }
+
+
+def _classified(dataset, **classify):
+    from repro.core import classify_dataset
+    from repro.io import survey_to_dict
+    from tests.kernels.test_differential import PERIOD
+
+    return survey_to_dict(classify_dataset(dataset, PERIOD, **classify))
+
+
+def _degenerate_survey():
+    """The degenerate corners, with the full (sampled) ledger."""
+    from repro.quality import DataQualityReport
+    from tests.kernels.test_differential import degenerate_dataset
+
+    ledger = DataQualityReport()
+    survey = _classified(degenerate_dataset(), quality=ledger)
+    return {"survey": survey, "quality": ledger.to_dict()}
+
+
+def _single_probe_survey():
+    from tests.kernels.test_differential import degenerate_dataset
+
+    return _classified(degenerate_dataset(), min_probes=1)
+
+
+def _empty_survey():
+    from repro.core import LastMileDataset
+    from tests.kernels.test_differential import GRID
+
+    return _classified(LastMileDataset(grid=GRID))
+
+
+def _kept_signals():
+    from repro.core import classify_dataset
+    from tests.kernels.test_differential import PERIOD, synthetic_dataset
+
+    kept = classify_dataset(
+        synthetic_dataset(seed=4), PERIOD, keep_signals=True
+    )
+    return {
+        str(asn): {
+            "delay_ms": _array(signal.delay_ms),
+            "contributing": _array(signal.contributing),
+        }
+        for asn, signal in sorted(kept.signals.items())
+    }
+
+
+def _degenerate_aggregates():
+    from repro.core import aggregate_population
+    from tests.kernels.test_differential import degenerate_dataset
+
+    dataset = degenerate_dataset()
+    cases = []
+    for probe_ids in ([1, 2, 3], [4], [8, 9, 10], [11, 12, 13]):
+        signal = aggregate_population(dataset, probe_ids)
+        cases.append({
+            "probe_ids": probe_ids,
+            "delay_ms": _array(signal.delay_ms),
+            "contributing": _array(signal.contributing),
+        })
+    return cases
+
+
+def _estimation(results, grid):
+    from repro.core import estimate_probe_series
+    from repro.quality import DataQualityReport
+
+    quality = DataQualityReport()
+    series = estimate_probe_series(results, grid, quality=quality)
     return {
         "median_rtt_ms": _array(series.median_rtt_ms),
         "traceroute_counts": _array(series.traceroute_counts),
@@ -203,129 +302,91 @@ def _ledger_case(series, quality):
     }
 
 
-def build_differential(kernels="reference"):
-    """Outputs of the differential suites' worlds, JSON-ready.
-
-    One entry per world: the seeded 10-AS survey (serial and sharded
-    runs must both equal it), its fault-injected twin with the fault
-    tally, the degenerate-corner dataset (its full quality ledger
-    too), single-probe and empty surveys, kept signals, per-population
-    aggregates, the dirty-traceroute estimations of ``tests/kernels``,
-    and the simulated anomaly campaign's report and link medians.
-    """
+def _dirty_estimation():
     import datetime as dt
 
-    from repro.anomaly import detect_anomalies, link_bin_medians, scan_links
-    from repro.core import (
-        LastMileDataset,
-        aggregate_population,
-        classify_dataset,
-        estimate_probe_series,
-    )
-    from repro.faults import FaultLog
-    from repro.io import survey_to_dict
-    from repro.quality import DataQualityReport
-    from repro.scenarios import generate_specs, run_survey_period
     from repro.timebase import MeasurementPeriod, TimeGrid
+    from tests.kernels.test_differential import dirty_traceroutes
+
+    grid = TimeGrid(MeasurementPeriod("d", dt.datetime(2019, 9, 2), 1))
+    return _estimation(dirty_traceroutes(), grid)
+
+
+def _flat_pass_estimation():
+    from tests.kernels.test_flat_pass import GRID, dirty_results
+
+    return _estimation(dirty_results(), GRID)
+
+
+def _anomaly_campaign():
+    from repro.timebase import TimeGrid
     from tests.anomaly.conftest import BIN_SECONDS, simulate
-    from tests.kernels.test_differential import (
-        GRID,
-        PERIOD,
-        TestFaultedEquivalence,
-        degenerate_dataset,
-        dirty_traceroutes,
-        synthetic_dataset,
-    )
-    from tests.kernels.test_flat_pass import GRID as DAY_GRID, dirty_results
 
-    specs = generate_specs(num_ases=10, num_countries=6, seed=5)
-    cases = {}
-    seeded, _ = run_survey_period(specs, PERIOD, seed=7, kernels=kernels)
-    cases["seeded-survey"] = survey_to_dict(seeded)
+    dataset, period = simulate()
+    return dataset.results, TimeGrid(period, BIN_SECONDS)
 
-    fault_log = FaultLog()
-    faulted, _ = run_survey_period(
-        specs, PERIOD, seed=7, kernels=kernels,
-        dataset_faults=TestFaultedEquivalence.FAULTS(), fault_seed=3,
-        fault_log=fault_log,
-    )
-    cases["faulted-survey"] = {
-        "survey": survey_to_dict(faulted),
-        "fault_counts": dict(sorted(fault_log.counts.items())),
-    }
 
-    ledger = DataQualityReport()
-    degenerate = classify_dataset(
-        degenerate_dataset(), PERIOD, kernels=kernels, quality=ledger
-    )
-    cases["degenerate-survey"] = {
-        "survey": survey_to_dict(degenerate),
-        "quality": ledger.to_dict(),
-    }
-    cases["single-probe-survey"] = survey_to_dict(classify_dataset(
-        degenerate_dataset(), PERIOD, kernels=kernels, min_probes=1
-    ))
-    cases["empty-survey"] = survey_to_dict(classify_dataset(
-        LastMileDataset(grid=GRID), PERIOD, kernels=kernels
-    ))
-    kept = classify_dataset(
-        synthetic_dataset(seed=4), PERIOD, kernels=kernels,
-        keep_signals=True,
-    )
-    cases["kept-signals"] = {
-        str(asn): {
-            "delay_ms": _array(signal.delay_ms),
-            "contributing": _array(signal.contributing),
-        }
-        for asn, signal in sorted(kept.signals.items())
-    }
-    dataset = degenerate_dataset()
-    cases["degenerate-aggregates"] = [
-        {
-            "probe_ids": probe_ids,
-            "delay_ms": _array(signal.delay_ms),
-            "contributing": _array(signal.contributing),
-        }
-        for probe_ids in ([1, 2, 3], [4], [8, 9, 10], [11, 12, 13])
-        for signal in [aggregate_population(
-            dataset, probe_ids, kernels=kernels
-        )]
-    ]
-    day_grid = TimeGrid(
-        MeasurementPeriod("d", dt.datetime(2019, 9, 2), 1)
-    )
-    quality = DataQualityReport()
-    series = estimate_probe_series(
-        dirty_traceroutes(), day_grid, kernels=kernels, quality=quality
-    )
-    cases["dirty-estimation"] = _ledger_case(series, quality)
-    quality = DataQualityReport()
-    series = estimate_probe_series(
-        dirty_results(), DAY_GRID, kernels=kernels, quality=quality
-    )
-    cases["flat-pass-estimation"] = _ledger_case(series, quality)
+def _anomaly_report(campaign=None, **detect):
+    """The simulated campaign's report; ``detect`` adds ``shards``."""
+    from repro.anomaly import detect_anomalies
 
-    sim, period = simulate()
-    grid = TimeGrid(period, BIN_SECONDS)
-    cases["anomaly-report"] = detect_anomalies(
-        sim.results, grid, period_name="simulated", kernels=kernels
+    results, grid = campaign or _anomaly_campaign()
+    return detect_anomalies(
+        results, grid, period_name="simulated", **detect
     ).payload
-    ids, medians, counts = link_bin_medians(
-        scan_links(sim.results, grid), kernels=kernels
-    )
-    cases["anomaly-link-medians"] = {
+
+
+def _anomaly_link_medians(campaign=None):
+    from repro.anomaly import link_bin_medians, scan_links
+
+    results, grid = campaign or _anomaly_campaign()
+    ids, medians, counts = link_bin_medians(scan_links(results, grid))
+    return {
         "link_ids": ids,
         "medians": [_array(row) for row in medians],
         "counts": [_array(row) for row in counts],
     }
-    return cases
+
+
+#: Every world the pipeline-level differential suites compare, by
+#: fixture key.  Tests call the builders (with variant arguments such
+#: as ``workers`` or ``shards``) and compare against the pinned entry.
+DIFFERENTIAL_WORLDS = {
+    "seeded-survey": _seeded_survey,
+    "faulted-survey": _faulted_survey,
+    "degenerate-survey": _degenerate_survey,
+    "single-probe-survey": _single_probe_survey,
+    "empty-survey": _empty_survey,
+    "kept-signals": _kept_signals,
+    "degenerate-aggregates": _degenerate_aggregates,
+    "dirty-estimation": _dirty_estimation,
+    "flat-pass-estimation": _flat_pass_estimation,
+    "anomaly-report": _anomaly_report,
+    "anomaly-link-medians": _anomaly_link_medians,
+}
+
+
+def build_differential():
+    """Every differential world's output, JSON-ready, by fixture key."""
+    return {name: build() for name, build in DIFFERENTIAL_WORLDS.items()}
+
+
+def canonical_world(value) -> str:
+    """One world's canonical serialization — the byte-for-byte
+    equality the differential suites assert."""
+    return json.dumps(value, sort_keys=True)
+
+
+def pinned_world(name: str):
+    """The pinned output of one differential world."""
+    return json.loads(DIFFERENTIAL_FIXTURE.read_text())[name]
 
 
 def differential_bytes(cases) -> bytes:
     """The canonical serialization the differential suites compare:
     one world per line, keys sorted."""
     lines = ",\n".join(
-        f"{json.dumps(name)}: {json.dumps(cases[name], sort_keys=True)}"
+        f"{json.dumps(name)}: {canonical_world(cases[name])}"
         for name in sorted(cases)
     )
     return ("{\n" + lines + "\n}\n").encode()
@@ -389,11 +450,7 @@ def main(argv=None, repo_root=None, out_dir=None) -> int:
 
     out = Path(out_dir) if out_dir is not None else FIXTURE.parent
     if args.differential:
-        pinned = differential_bytes(build_differential("reference"))
-        if differential_bytes(build_differential("vector")) != pinned:
-            print("error: vector backend disagrees with reference",
-                  file=sys.stderr)
-            return 1
+        pinned = differential_bytes(build_differential())
         (out / DIFFERENTIAL_FIXTURE.name).write_bytes(pinned)
         print(f"wrote {out / DIFFERENTIAL_FIXTURE.name} "
               f"({len(json.loads(pinned))} worlds)")

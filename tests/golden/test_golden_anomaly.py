@@ -3,8 +3,9 @@
 ``anomaly_golden.json`` pins the full report payload of the
 hand-built traceroute campaign in :mod:`tests.golden.regenerate` — a
 day-2 delay surge, a day-3 next-hop flip, and a periodically silent
-hop so link spanning is part of the frozen output.  Both kernel
-backends and a sharded run are checked byte-for-byte (the payload is
+hop so link spanning is part of the frozen output.  The production
+kernels, the reference loops (:mod:`tests.kernels.oracle`) and a
+sharded run are checked byte-for-byte (the payload is
 already JSON-safe, so canonical bytes are the equality that the
 serving layer's ETags rest on).  If a change is intentional,
 regenerate with::
@@ -16,15 +17,10 @@ import json
 
 import pytest
 
-from repro.core.kernels import KERNELS_ENV, available_kernels
 from repro.parallel.cache import canonical_json
+from tests.kernels.oracle import run_on
 
 from .regenerate import ANOMALY_FIXTURE, build_anomaly_report
-
-
-@pytest.fixture(autouse=True)
-def _pin_environment(monkeypatch):
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -33,17 +29,13 @@ def golden_bytes():
 
 
 def test_reference_matches_golden(golden_bytes):
-    assert canonical_json(build_anomaly_report()) == golden_bytes
-
-
-@pytest.mark.skipif(
-    "vector" not in available_kernels(),
-    reason="vector backend unavailable",
-)
-def test_vector_matches_golden(golden_bytes):
     assert canonical_json(
-        build_anomaly_report(kernels="vector")
+        run_on("reference", build_anomaly_report)
     ) == golden_bytes
+
+
+def test_vector_matches_golden(golden_bytes):
+    assert canonical_json(build_anomaly_report()) == golden_bytes
 
 
 def test_sharded_matches_golden(golden_bytes):

@@ -1,8 +1,10 @@
 """Golden regression: a frozen world's survey must never drift.
 
 ``survey_golden.json`` pins the full ``survey_to_dict`` output of the
-world defined in :mod:`tests.golden.regenerate`.  Both kernel
-backends are checked against it with a field-by-field diff, so a
+world defined in :mod:`tests.golden.regenerate`.  The pipeline is
+checked against it with its production kernels (``vector``) and with
+the reference loops doing the arithmetic (``reference``, see
+:mod:`tests.kernels.oracle`), with a field-by-field diff, so a
 failure names the exact AS and field that moved instead of dumping
 two JSON blobs.  If the change is intentional, regenerate with::
 
@@ -14,9 +16,9 @@ import math
 
 import pytest
 
-from repro.core.kernels import KERNELS_ENV
 from repro.io import survey_to_dict
 from repro.parallel import WORKERS_ENV
+from tests.kernels.oracle import run_on
 
 from .regenerate import (
     FIXTURE,
@@ -30,7 +32,6 @@ from .regenerate import (
 @pytest.fixture(autouse=True)
 def _pin_environment(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +98,7 @@ class TestDiffFields:
 
 @pytest.mark.parametrize("backend", ["reference", "vector"])
 def test_survey_matches_golden_fixture(golden, backend):
-    recomputed = survey_to_dict(build_survey(kernels=backend))
+    recomputed = survey_to_dict(run_on(backend, build_survey))
     problems = diff_fields(golden, recomputed)
     assert not problems, (
         f"[{backend}] survey drifted from tests/golden/"
@@ -110,9 +111,9 @@ def test_survey_matches_golden_fixture(golden, backend):
 @pytest.mark.parametrize("backend", ["reference", "vector"])
 def test_streamed_survey_matches_golden_fixture(backend):
     """The frozen world replayed through the streaming engine must
-    reproduce its own committed fixture on both backends."""
+    reproduce its own committed fixture, with either kernels."""
     streamed_golden = json.loads(STREAMED_FIXTURE.read_text())
-    recomputed = survey_to_dict(build_streamed_survey(kernels=backend))
+    recomputed = survey_to_dict(run_on(backend, build_streamed_survey))
     problems = diff_fields(streamed_golden, recomputed)
     assert not problems, (
         f"[{backend}] streamed survey drifted from tests/golden/"

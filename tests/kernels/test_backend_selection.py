@@ -1,125 +1,29 @@
-"""Backend selection: resolution order, registry, and observability."""
+"""Kernel observability: the ``kernel_ops_total{op}`` counter."""
 
 import datetime as dt
 
 import numpy as np
-import pytest
 
-from repro.core.kernels import (
-    DEFAULT_KERNELS,
-    KERNELS_ENV,
-    available_kernels,
-    record_kernel_op,
-    resolve_kernels,
-)
-from repro.core.kernels.reference import REFERENCE, ReferenceKernels
-from repro.core.kernels.vector import VECTOR, VectorKernels
+from repro.core.kernels import record_kernel_op
 from repro.obs import observed
-from repro.parallel.worker import DatasetShardTask, SurveyShardTask
-from repro.scenarios import generate_specs
 from repro.timebase import MeasurementPeriod
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
-
-
-class TestResolveKernels:
-    def test_default_is_reference(self):
-        kern = resolve_kernels()
-        assert kern is REFERENCE
-        assert kern.name == DEFAULT_KERNELS == "reference"
-
-    def test_explicit_names(self):
-        assert resolve_kernels("reference") is REFERENCE
-        assert resolve_kernels("vector") is VECTOR
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "vector")
-        assert resolve_kernels() is VECTOR
-        monkeypatch.setenv(KERNELS_ENV, "  REFERENCE ")
-        assert resolve_kernels() is REFERENCE
-        monkeypatch.setenv(KERNELS_ENV, "")
-        assert resolve_kernels() is REFERENCE
-
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "vector")
-        assert resolve_kernels("reference") is REFERENCE
-
-    def test_backend_object_passes_through(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "reference")
-        custom = VectorKernels()
-        assert resolve_kernels(custom) is custom
-        assert resolve_kernels(VECTOR) is VECTOR
-
-    def test_unknown_name_lists_choices(self):
-        with pytest.raises(ValueError) as err:
-            resolve_kernels("turbo")
-        message = str(err.value)
-        assert "turbo" in message
-        for name in available_kernels():
-            assert name in message
-
-    def test_available_kernels_all_resolve(self):
-        assert available_kernels() == ("reference", "vector")
-        for name in available_kernels():
-            kern = resolve_kernels(name)
-            assert kern.name == name
-
-
-class TestBackendCapabilities:
-    def test_reference_is_unbatched(self):
-        assert ReferenceKernels.batched is False
-        assert getattr(REFERENCE, "batched", False) is False
-
-    def test_vector_is_batched(self):
-        assert VectorKernels.batched is True
-        assert getattr(VECTOR, "batched", False) is True
-
-
-class TestShardTaskCarriesBackend:
-    """Shard invariance: the parent resolves once and ships the name,
-    so worker processes never consult their own environment."""
-
-    def test_survey_task_field_default(self):
-        specs = generate_specs(num_ases=2, num_countries=2, seed=1)
-        period = MeasurementPeriod("t", dt.datetime(2019, 9, 2), 1)
-        task = SurveyShardTask(
-            index=0, specs=specs, period=period, lockdown=False,
-            seed=1, groups={},
-        )
-        assert task.kernels == DEFAULT_KERNELS
-
-    def test_survey_task_accepts_backend_name(self):
-        specs = generate_specs(num_ases=2, num_countries=2, seed=1)
-        period = MeasurementPeriod("t", dt.datetime(2019, 9, 2), 1)
-        task = SurveyShardTask(
-            index=0, specs=specs, period=period, lockdown=False,
-            seed=1, groups={}, kernels="vector",
-        )
-        assert resolve_kernels(task.kernels) is VECTOR
-
-    def test_dataset_task_field_default(self):
-        assert (
-            DatasetShardTask.__dataclass_fields__["kernels"].default
-            == DEFAULT_KERNELS
-        )
 
 
 class TestKernelOpCounter:
     def test_counter_emitted_per_backend_and_op(self):
+        """One path, so no backend label: the counter is per op."""
         with observed() as obs:
-            record_kernel_op("vector", "bin-medians")
-            record_kernel_op("vector", "bin-medians", 4)
-            record_kernel_op("reference", "stack-delays")
+            record_kernel_op("bin-medians")
+            record_kernel_op("bin-medians", 4)
+            record_kernel_op("stack-delays")
         counter = obs.metrics.get("kernel_ops_total")
-        assert counter.value(kernel="vector", op="bin-medians") == 5
-        assert counter.value(kernel="reference", op="stack-delays") == 1
+        assert counter.label_names == ("op",)
+        assert counter.value(op="bin-medians") == 5
+        assert counter.value(op="stack-delays") == 1
 
     def test_noop_without_observer(self):
         # Must be a silent no-op under the default NOOP observer.
-        record_kernel_op("vector", "bin-medians")
+        record_kernel_op("bin-medians")
 
     def test_pipeline_emits_kernel_ops(self):
         from repro.core import aggregate_population, LastMileDataset
@@ -135,6 +39,6 @@ class TestKernelOpCounter:
             traceroute_counts=np.full(grid.num_bins, 24),
         ))
         with observed() as obs:
-            aggregate_population(dataset, [1], kernels="vector")
+            aggregate_population(dataset, [1])
         counter = obs.metrics.get("kernel_ops_total")
-        assert counter.value(kernel="vector", op="stack-delays") == 1
+        assert counter.value(op="stack-delays") == 1

@@ -1,59 +1,57 @@
-"""Differential equivalence of the reference and vector kernels.
+"""Pipeline-level differential suite: the single path vs the pinned
+reference output.
 
-The backend contract (``repro.core.kernels``): both backends produce
-*numerically identical* survey output — bit-for-bit under
-``survey_to_dict`` — on every input.  This harness proves it over
-seeded worlds, fault-injected datasets, and degenerate inputs
-(all-NaN bins, single-probe ASes, empty periods), on the serial path
-and through the sharded executor.  This file also runs in the CI
-chaos leg under ``-W error::RuntimeWarning``: the vector kernels must
+Before the per-item reference loops were demoted to a test oracle,
+they ran as a selectable pipeline backend; the outputs they produced
+on every world below — seeded worlds, fault-injected datasets,
+degenerate inputs (all-NaN bins, single-probe ASes, empty periods),
+kept signals, stage-level aggregates and dirty traceroutes — were
+frozen into ``tests/golden/differential_golden.json`` after checking
+that the vectorized backend agreed byte for byte.  This suite holds
+the one remaining pipeline path to those bytes, on the serial path
+and through the sharded executor.  The kernel-level properties
+(``test_kernel_properties``, ``test_flat_pass``) keep comparing the
+production functions with the live oracle.  This file also runs in
+the CI chaos leg under ``-W error::RuntimeWarning``: the kernels must
 stay warning-silent on degenerate data, like the reference loops.
 """
 
 import datetime as dt
-import json
 
 import numpy as np
 import pytest
 
 from repro.atlas import ProbeMeta
-from repro.core import (
-    LastMileDataset,
-    ProbeBinSeries,
-    aggregate_population,
-    classify_dataset,
-    estimate_probe_series,
-)
-from repro.core.kernels import KERNELS_ENV
-from repro.faults import BinLoss, FaultLog, NaNBursts, PoisonAS
-from repro.io import survey_to_dict
+from repro.core import LastMileDataset, ProbeBinSeries
+from repro.faults import BinLoss, NaNBursts, PoisonAS
 from repro.parallel import WORKERS_ENV
-from repro.quality import DataQualityReport
-from repro.scenarios import generate_specs, run_survey_period
 from repro.timebase import MeasurementPeriod, TimeGrid
 
 PERIOD = MeasurementPeriod("2019-09", dt.datetime(2019, 9, 2), 4)
 GRID = TimeGrid(PERIOD)
 
 
-def canonical_bytes(result):
-    """The serialized survey as bytes — the equality the suite asserts."""
-    return json.dumps(
-        survey_to_dict(result), sort_keys=True
-    ).encode("ascii")
+def assert_pinned(name, value):
+    """``value`` serializes to exactly the pinned bytes of ``name``."""
+    from tests.golden.regenerate import canonical_world, pinned_world
+
+    assert canonical_world(value) == canonical_world(pinned_world(name))
 
 
 @pytest.fixture(autouse=True)
 def _pin_environment(monkeypatch):
-    """Neutralize the CI matrix knobs: every run in this file selects
-    its backend and execution mode explicitly."""
+    """Neutralize the CI matrix knob: every run in this file selects
+    its execution mode explicitly."""
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
 
 
-@pytest.fixture(scope="module")
-def specs():
-    return generate_specs(num_ases=10, num_countries=6, seed=5)
+def make_faults():
+    """Bin loss, NaN bursts and one poisoned AS."""
+    return [
+        BinLoss(rate=0.05),
+        NaNBursts(probe_rate=0.3),
+        PoisonAS(count=1),
+    ]
 
 
 def synthetic_dataset(num_ases=8, probes_per_asn=4, seed=0):
@@ -152,167 +150,87 @@ def dirty_traceroutes():
     return results
 
 
-def classify_both(dataset, **kwargs):
-    reference = classify_dataset(
-        dataset, PERIOD, kernels="reference", **kwargs
-    )
-    vector = classify_dataset(
-        dataset, PERIOD, kernels="vector", **kwargs
-    )
-    return reference, vector
-
-
 class TestSeededWorldEquivalence:
-    def test_serial_survey_identical(self, specs):
-        reference, _ = run_survey_period(
-            specs, PERIOD, seed=7, kernels="reference"
-        )
-        vector, _ = run_survey_period(
-            specs, PERIOD, seed=7, kernels="vector"
-        )
-        assert canonical_bytes(vector) == canonical_bytes(reference)
-        assert len(reference.reports) == 10
+    def test_serial_survey_identical(self):
+        survey = worlds()["seeded-survey"]()
+        assert_pinned("seeded-survey", survey)
+        assert len(survey["reports"]) == 10
 
-    def test_sharded_vector_matches_serial_reference(self, specs):
-        reference, _ = run_survey_period(
-            specs, PERIOD, seed=7, kernels="reference"
+    def test_sharded_vector_matches_serial_reference(self):
+        assert_pinned(
+            "seeded-survey", worlds()["seeded-survey"](workers=3)
         )
-        vector, _ = run_survey_period(
-            specs, PERIOD, seed=7, workers=3, kernels="vector"
-        )
-        assert canonical_bytes(vector) == canonical_bytes(reference)
-
-    def test_env_var_selects_vector(self, specs, monkeypatch):
-        """REPRO_KERNELS=vector with no explicit argument must route
-        through the vector backend and still match."""
-        reference, _ = run_survey_period(
-            specs, PERIOD, seed=7, kernels="reference"
-        )
-        monkeypatch.setenv(KERNELS_ENV, "vector")
-        vector, _ = run_survey_period(specs, PERIOD, seed=7)
-        assert canonical_bytes(vector) == canonical_bytes(reference)
 
 
 class TestFaultedEquivalence:
-    FAULTS = staticmethod(lambda: [
-        BinLoss(rate=0.05),
-        NaNBursts(probe_rate=0.3),
-        PoisonAS(count=1),
-    ])
+    def test_faulted_survey_identical(self):
+        faulted = worlds()["faulted-survey"]()
+        assert_pinned("faulted-survey", faulted)
+        assert faulted["survey"]["failures"], (
+            "PoisonAS should fail one AS"
+        )
 
-    def test_faulted_survey_identical(self, specs):
-        ref_log, vec_log = FaultLog(), FaultLog()
-        reference, _ = run_survey_period(
-            specs, PERIOD, seed=7, kernels="reference",
-            dataset_faults=self.FAULTS(), fault_seed=3,
-            fault_log=ref_log,
-        )
-        vector, _ = run_survey_period(
-            specs, PERIOD, seed=7, kernels="vector",
-            dataset_faults=self.FAULTS(), fault_seed=3,
-            fault_log=vec_log,
-        )
-        assert canonical_bytes(vector) == canonical_bytes(reference)
-        assert vec_log.counts == ref_log.counts
-        assert reference.failures, "PoisonAS should fail one AS"
-        assert set(vector.failures) == set(reference.failures)
+    def test_faulted_sharded_vector_identical(self):
+        from tests.golden.regenerate import canonical_world, pinned_world
 
-    def test_faulted_sharded_vector_identical(self, specs):
-        reference, _ = run_survey_period(
-            specs, PERIOD, seed=7, kernels="reference",
-            dataset_faults=self.FAULTS(), fault_seed=3,
+        sharded = worlds()["faulted-survey"](workers=4)
+        assert canonical_world(sharded["survey"]) == canonical_world(
+            pinned_world("faulted-survey")["survey"]
         )
-        vector, _ = run_survey_period(
-            specs, PERIOD, seed=7, workers=4, kernels="vector",
-            dataset_faults=self.FAULTS(), fault_seed=3,
-        )
-        assert canonical_bytes(vector) == canonical_bytes(reference)
 
 
 class TestDegenerateEquivalence:
     def test_degenerate_dataset_identical(self):
-        reference, vector = classify_both(degenerate_dataset())
-        assert canonical_bytes(vector) == canonical_bytes(reference)
+        from tests.golden.regenerate import canonical_world, pinned_world
+
+        survey = worlds()["degenerate-survey"]()["survey"]
+        assert canonical_world(survey) == canonical_world(
+            pinned_world("degenerate-survey")["survey"]
+        )
         # The flat and dead ASes really exercised the degenerate path.
-        assert reference.reports[202].severity.value == "none"
-        assert reference.reports[200].severity.value == "none"
+        assert survey["reports"]["202"]["severity"] == "none"
+        assert survey["reports"]["200"]["severity"] == "none"
 
     def test_single_probe_asn_identical(self):
-        reference, vector = classify_both(
-            degenerate_dataset(), min_probes=1
-        )
-        assert canonical_bytes(vector) == canonical_bytes(reference)
-        assert 201 in reference.reports
+        survey = worlds()["single-probe-survey"]()
+        assert_pinned("single-probe-survey", survey)
+        assert "201" in survey["reports"]
 
     def test_empty_period_identical(self):
-        """A dataset with no probes at all: both backends return an
-        empty survey, not an error."""
-        empty = LastMileDataset(grid=GRID)
-        reference, vector = classify_both(empty)
-        assert canonical_bytes(vector) == canonical_bytes(reference)
-        assert reference.reports == {}
-        assert reference.failures == {}
+        """A dataset with no probes at all: an empty survey, not an
+        error."""
+        survey = worlds()["empty-survey"]()
+        assert_pinned("empty-survey", survey)
+        assert survey["reports"] == {}
+        assert survey["failures"] == {}
 
     def test_quality_ledgers_identical(self):
-        ref_quality = DataQualityReport()
-        vec_quality = DataQualityReport()
-        classify_dataset(
-            degenerate_dataset(), PERIOD, kernels="reference",
-            quality=ref_quality,
+        """The full ledger, quarantine samples and their order
+        included."""
+        from tests.golden.regenerate import canonical_world, pinned_world
+
+        ledger = worlds()["degenerate-survey"]()["quality"]
+        assert canonical_world(ledger) == canonical_world(
+            pinned_world("degenerate-survey")["quality"]
         )
-        classify_dataset(
-            degenerate_dataset(), PERIOD, kernels="vector",
-            quality=vec_quality,
-        )
-        assert vec_quality.to_dict() == ref_quality.to_dict()
 
     def test_kept_signals_identical(self):
-        reference, vector = classify_both(
-            synthetic_dataset(seed=4), keep_signals=True
-        )
-        assert set(vector.signals) == set(reference.signals)
-        for asn, signal in reference.signals.items():
-            assert np.array_equal(
-                vector.signals[asn].delay_ms, signal.delay_ms,
-                equal_nan=True,
-            )
-            assert np.array_equal(
-                vector.signals[asn].contributing, signal.contributing
-            )
+        assert_pinned("kept-signals", worlds()["kept-signals"]())
 
 
 class TestStageLevelEquivalence:
     def test_aggregate_identical_on_degenerates(self):
-        dataset = degenerate_dataset()
-        for probe_ids in ([1, 2, 3], [4], [8, 9, 10], [11, 12, 13]):
-            a = aggregate_population(
-                dataset, probe_ids, kernels="reference"
-            )
-            b = aggregate_population(
-                dataset, probe_ids, kernels="vector"
-            )
-            assert np.array_equal(
-                a.delay_ms, b.delay_ms, equal_nan=True
-            )
-            assert np.array_equal(a.contributing, b.contributing)
+        assert_pinned(
+            "degenerate-aggregates", worlds()["degenerate-aggregates"]()
+        )
 
     def test_estimation_identical_on_dirty_traceroutes(self):
-        grid = TimeGrid(
-            MeasurementPeriod("d", dt.datetime(2019, 9, 2), 1)
+        assert_pinned(
+            "dirty-estimation", worlds()["dirty-estimation"]()
         )
-        results = dirty_traceroutes()
-        ref_quality = DataQualityReport()
-        vec_quality = DataQualityReport()
-        a = estimate_probe_series(
-            results, grid, kernels="reference", quality=ref_quality
-        )
-        b = estimate_probe_series(
-            results, grid, kernels="vector", quality=vec_quality
-        )
-        assert np.array_equal(
-            a.median_rtt_ms, b.median_rtt_ms, equal_nan=True
-        )
-        assert np.array_equal(
-            a.traceroute_counts, b.traceroute_counts
-        )
-        assert vec_quality.to_dict() == ref_quality.to_dict()
+
+
+def worlds():
+    from tests.golden.regenerate import DIFFERENTIAL_WORLDS
+
+    return DIFFERENTIAL_WORLDS

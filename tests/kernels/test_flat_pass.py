@@ -2,11 +2,11 @@
 
 ``repro.core.kernels.flat`` re-derives every stage of the survey —
 the traceroute scan, per-probe bin medians, queueing-delay rows, and
-per-AS population medians — from flat arrays.  The backend contract
-says each primitive is *bit-identical* to its reference twin; this
-suite proves it at the primitive level (the end-to-end guarantee
-lives in ``test_differential.py``), including the dirty inputs the
-reference scan's quality accounting was written for.
+per-AS population medians — from flat arrays.  Each primitive must be
+*bit-identical* to its reference twin; this suite proves it at the
+primitive level (the end-to-end guarantee lives in
+``test_differential.py``), including the dirty inputs the reference
+scan's quality accounting was written for.
 """
 
 import datetime as dt
@@ -19,17 +19,16 @@ from repro.core.kernels.flat import (
     _CUBE_MAX_ELEMENTS,
     delay_matrix,
     dataset_matrices,
-    flat_bin_medians,
     population_median_pass,
     scan_lastmile_flat,
 )
+from repro.core.kernels.vector import dataset_bin_medians
 from repro.core.lastmile import (
     MIN_TRACEROUTES_PER_BIN,
     estimate_probe_series,
     lastmile_samples,
 )
 from repro.core.series import ProbeBinSeries
-from repro.quality import DataQualityReport
 from repro.timebase import MeasurementPeriod, TimeGrid
 
 from tests.core.test_lastmile import hop, traceroute, typical_traceroute
@@ -126,21 +125,15 @@ class TestFlatScan:
         )
 
     def test_quality_ledger_matches_reference_estimation(self):
-        results = dirty_results()
-        ref_quality = DataQualityReport()
-        vec_quality = DataQualityReport()
-        a = estimate_probe_series(
-            results, GRID, kernels="reference", quality=ref_quality
-        )
-        b = estimate_probe_series(
-            results, GRID, kernels="vector", quality=vec_quality
-        )
-        assert vec_quality.to_dict() == ref_quality.to_dict()
-        np.testing.assert_array_equal(
-            a.median_rtt_ms, b.median_rtt_ms
-        )
-        np.testing.assert_array_equal(
-            a.traceroute_counts, b.traceroute_counts
+        """Series and full ledger equal what the reference estimation
+        produced on these results (pinned in
+        ``tests/golden/differential_golden.json``)."""
+        from tests.golden.regenerate import DIFFERENTIAL_WORLDS
+        from tests.kernels.test_differential import assert_pinned
+
+        assert_pinned(
+            "flat-pass-estimation",
+            DIFFERENTIAL_WORLDS["flat-pass-estimation"](),
         )
 
     def test_empty_results_with_prb_id(self):
@@ -152,7 +145,7 @@ class TestFlatScan:
 
     def test_empty_results_without_prb_id_raises_upstream(self):
         with pytest.raises(ValueError):
-            estimate_probe_series([], GRID, kernels="vector")
+            estimate_probe_series([], GRID)
 
     def test_counts_accumulate_into_caller_array(self):
         counts = np.zeros(GRID.num_bins, dtype=np.int64)
@@ -162,6 +155,16 @@ class TestFlatScan:
         )
         assert counts[0] == 3
         assert counts.sum() == 3
+
+
+def flat_bin_medians(sample_bins, sample_values, counts, num_bins,
+                     min_traceroutes):
+    """One probe's bin medians through the whole-dataset kernel."""
+    medians, estimated = dataset_bin_medians(
+        sample_bins, sample_values, 1, num_bins, counts[None, :],
+        min_traceroutes,
+    )
+    return medians[0], int(estimated[0])
 
 
 class TestFlatBinMedians:

@@ -1,11 +1,13 @@
-"""Property-based equivalence of the vector kernels.
+"""Property-based equivalence of the production kernels and the
+reference oracle.
 
 Where ``test_differential`` pins equality on curated datasets, these
 properties let hypothesis hunt for inputs where the vectorized math
-drifts from the reference loops: grouped medians vs per-group
-``numpy.median`` (including NaN propagation), probe-order permutation
-invariance, NaN-placement equivalence, additive-offset behaviour of
-the queueing estimate, and batched vs per-signal Welch markers.
+drifts from the reference loops (:mod:`repro.core.kernels.reference`):
+grouped medians vs per-group ``numpy.median`` (including NaN
+propagation), probe-order permutation invariance, NaN-placement
+equivalence, additive-offset behaviour of the queueing estimate, and
+batched vs per-signal Welch markers.
 """
 
 import datetime as dt
@@ -20,8 +22,9 @@ from repro.core import (
     aggregate_population,
     extract_markers,
 )
+from repro.core.kernels.flat import delay_matrix
 from repro.core.kernels.reference import REFERENCE
-from repro.core.kernels.vector import VECTOR, grouped_median
+from repro.core.kernels.vector import grouped_median, markers_batch
 from repro.timebase import MeasurementPeriod, TimeGrid
 
 PERIOD = MeasurementPeriod("kprop", dt.datetime(2019, 9, 2), 5)
@@ -113,6 +116,26 @@ class TestGroupedMedian:
         assert np.array_equal(a, b, equal_nan=True)
 
 
+def stack_probe_delays(dataset, probe_ids, min_traceroutes):
+    """The production queueing-delay rows of a probe population."""
+    delays, _dead = delay_matrix(
+        np.stack([dataset.series[p].median_rtt_ms for p in probe_ids]),
+        np.stack([dataset.series[p].traceroute_counts for p in probe_ids]),
+        min_traceroutes,
+    )
+    return delays
+
+
+def reference_aggregate(dataset, probe_ids):
+    """The per-AS aggregation loop: reference rows, one nanmedian."""
+    import warnings
+
+    stacked = REFERENCE.stack_probe_delays(dataset, probe_ids, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nanmedian(stacked, axis=0)
+
+
 class TestStackProbeDelays:
     @settings(deadline=None, max_examples=40)
     @given(datasets())
@@ -121,7 +144,7 @@ class TestStackProbeDelays:
         must agree bit for bit."""
         ids = dataset.probe_ids()
         a = REFERENCE.stack_probe_delays(dataset, ids, 3)
-        b = VECTOR.stack_probe_delays(dataset, ids, 3)
+        b = stack_probe_delays(dataset, ids, 3)
         assert np.array_equal(a, b, equal_nan=True)
 
     @settings(deadline=None, max_examples=30)
@@ -132,11 +155,11 @@ class TestStackProbeDelays:
         ids = dataset.probe_ids()
         shuffled = list(ids)
         rnd.shuffle(shuffled)
-        a = aggregate_population(dataset, ids, kernels="vector")
-        b = aggregate_population(dataset, shuffled, kernels="vector")
-        c = aggregate_population(dataset, shuffled, kernels="reference")
+        a = aggregate_population(dataset, ids)
+        b = aggregate_population(dataset, shuffled)
+        c = reference_aggregate(dataset, shuffled)
         assert np.array_equal(a.delay_ms, b.delay_ms, equal_nan=True)
-        assert np.array_equal(b.delay_ms, c.delay_ms, equal_nan=True)
+        assert np.array_equal(b.delay_ms, c, equal_nan=True)
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -145,8 +168,8 @@ class TestStackProbeDelays:
     )
     def test_additive_offset_cancels(self, series, shift):
         """A constant propagation-delay offset on a probe's medians
-        must cancel in the queueing estimate, identically on both
-        backends."""
+        must cancel in the queueing estimate, identically in the
+        production rows and the reference loop."""
         dataset = LastMileDataset(grid=GRID)
         dataset.add(series)
         shifted = LastMileDataset(grid=GRID)
@@ -155,13 +178,9 @@ class TestStackProbeDelays:
             median_rtt_ms=series.median_rtt_ms + shift,
             traceroute_counts=series.traceroute_counts,
         ))
-        for kernel in (REFERENCE, VECTOR):
-            base = kernel.stack_probe_delays(
-                dataset, [series.prb_id], 3
-            )
-            moved = kernel.stack_probe_delays(
-                shifted, [series.prb_id], 3
-            )
+        for stack in (REFERENCE.stack_probe_delays, stack_probe_delays):
+            base = stack(dataset, [series.prb_id], 3)
+            moved = stack(shifted, [series.prb_id], 3)
             assert np.allclose(
                 base, moved, equal_nan=True, atol=1e-9
             )
@@ -172,10 +191,8 @@ class TestMarkersBatch:
     @given(st.lists(probe_series(), min_size=0, max_size=5))
     def test_matches_per_signal_extract_markers(self, series_list):
         signals = [s.median_rtt_ms for s in series_list]
-        batched = VECTOR.markers_batch(signals, GRID.bin_seconds)
-        reference = [
-            extract_markers(v, GRID.bin_seconds) for v in signals
-        ]
+        batched = markers_batch(signals, GRID.bin_seconds)
+        reference = REFERENCE.markers_batch(signals, GRID.bin_seconds)
         assert len(batched) == len(reference)
         for ours, expected in zip(batched, reference):
             if expected is None:
@@ -201,7 +218,7 @@ class TestMarkersBatch:
             gappy,                       # over the gap threshold
             shorter,                     # different length bucket
         ]
-        batched = VECTOR.markers_batch(signals, GRID.bin_seconds)
+        batched = markers_batch(signals, GRID.bin_seconds)
         reference = [
             extract_markers(v, GRID.bin_seconds) for v in signals
         ]

@@ -42,14 +42,9 @@ def small_dataset(num_asns=5, probes_per_asn=4, seed=0):
 
 class TestClassifyDatasetInstrumentation:
     def test_stage_counters_and_spans(self):
-        # The per-AS nested span tree is the *reference* backend's
-        # contract; the batched (vector) shape is asserted separately
-        # below, so pin the backend rather than inherit $REPRO_KERNELS.
         dataset = small_dataset()
         with observed() as obs:
-            result = classify_dataset(
-                dataset, PERIOD, kernels="reference"
-            )
+            result = classify_dataset(dataset, PERIOD)
         assert result.monitored_count == 5
 
         items_in = obs.metrics.get(ITEMS_IN)
@@ -68,7 +63,8 @@ class TestClassifyDatasetInstrumentation:
             assert duration.count(stage=stage) >= 1, stage
 
         # Span tree: classify-dataset -> filter + one classify per AS,
-        # each with aggregate and spectral children.
+        # each with an aggregate child (the spectral span's placement
+        # is asserted below).
         roots = obs.tracer.roots
         assert [r.name for r in roots] == ["classify-dataset"]
         child_names = [c.name for c in roots[0].children]
@@ -77,20 +73,15 @@ class TestClassifyDatasetInstrumentation:
         classify_span = next(
             c for c in roots[0].children if c.name == "classify"
         )
-        assert {c.name for c in classify_span.children} == {
-            "aggregate", "spectral",
-        }
+        assert {c.name for c in classify_span.children} == {"aggregate"}
 
     def test_batched_backend_span_shape(self):
-        # The vector backend hoists marker extraction out of the
-        # per-AS loop, so the spectral span is a single sibling of the
-        # classify spans instead of a child of each — same stage
-        # counters, different (documented) tree.
+        # Marker extraction is hoisted out of the per-AS loop, so the
+        # spectral span is a single sibling of the classify spans
+        # instead of a child of each.
         dataset = small_dataset()
         with observed() as obs:
-            result = classify_dataset(
-                dataset, PERIOD, kernels="vector"
-            )
+            result = classify_dataset(dataset, PERIOD)
         assert result.monitored_count == 5
 
         items_in = obs.metrics.get(ITEMS_IN)
@@ -109,7 +100,7 @@ class TestClassifyDatasetInstrumentation:
             c for c in roots[0].children if c.name == "spectral"
         )
         assert spectral_span.attrs["signals"] == 5
-        assert spectral_span.attrs["kernel"] == "vector"
+        assert "kernel" not in spectral_span.attrs
 
     def test_quality_ledger_mirrored_as_gauges(self):
         dataset = small_dataset()

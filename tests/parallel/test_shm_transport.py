@@ -3,8 +3,9 @@
 The transport contract (:mod:`repro.parallel.transport`): arbitrary
 flat survey arrays round-trip through shared-memory blocks losslessly
 (bit-for-bit, NaN placement included); the sharded survey is
-byte-identical across worker counts and kernel backends whether the
-data rides shared memory or the pickle fallback; and blocks are
+byte-identical across worker counts — and to the reference loops'
+arithmetic (``tests.kernels.oracle``) — whether the data rides shared
+memory or the pickle fallback; and blocks are
 always unlinked — on success, on pickle fallback, and when a shard
 worker raises mid-flight.
 """
@@ -17,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import KERNELS_ENV
 from repro.io import survey_to_dict
 from repro.parallel import (
     SHM_ENV,
@@ -40,6 +40,7 @@ from repro.core.aggregate import AggregatedSignal
 from repro.core.series import LastMileDataset, ProbeBinSeries
 from repro.timebase import MeasurementPeriod, TimeGrid
 
+from tests.kernels.oracle import run_on
 from tests.kernels.test_differential import (
     PERIOD,
     degenerate_dataset,
@@ -65,7 +66,6 @@ def attach_fails(block_name: str) -> bool:
 @pytest.fixture(autouse=True)
 def _pin_environment(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
     monkeypatch.delenv(SHM_ENV, raising=False)
 
 
@@ -267,35 +267,35 @@ class TestShardedEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_workers_and_backends_identical(self, workers, kernels):
         dataset = synthetic_dataset(num_ases=6, seed=8)
-        serial = classify_dataset_sharded(
-            dataset, PERIOD, workers=1, kernels="reference",
+        serial = run_on(
+            "reference", classify_dataset_sharded, dataset, PERIOD,
+            workers=1,
         )
-        sharded = classify_dataset_sharded(
-            dataset, PERIOD, workers=workers, kernels=kernels,
+        sharded = run_on(
+            kernels, classify_dataset_sharded, dataset, PERIOD,
+            workers=workers,
         )
         assert canonical(sharded) == canonical(serial)
 
     @pytest.mark.parametrize("shm", ["1", "0"])
     def test_shm_vs_pickle_identical(self, shm, monkeypatch):
         dataset = degenerate_dataset()
-        reference = classify_dataset_sharded(
-            dataset, PERIOD, workers=1, kernels="reference",
+        reference = run_on(
+            "reference", classify_dataset_sharded, dataset, PERIOD,
+            workers=1,
         )
         monkeypatch.setenv(SHM_ENV, shm)
-        sharded = classify_dataset_sharded(
-            dataset, PERIOD, workers=3, kernels="vector",
-        )
+        sharded = classify_dataset_sharded(dataset, PERIOD, workers=3)
         assert canonical(sharded) == canonical(reference)
 
     def test_keep_signals_through_shm(self):
         dataset = synthetic_dataset(num_ases=4, seed=2)
-        serial = classify_dataset_sharded(
-            dataset, PERIOD, workers=1, kernels="reference",
-            keep_signals=True,
+        serial = run_on(
+            "reference", classify_dataset_sharded, dataset, PERIOD,
+            workers=1, keep_signals=True,
         )
         sharded = classify_dataset_sharded(
-            dataset, PERIOD, workers=2, kernels="vector",
-            keep_signals=True,
+            dataset, PERIOD, workers=2, keep_signals=True,
         )
         assert set(sharded.signals) == set(serial.signals)
         for asn, signal in serial.signals.items():
@@ -341,9 +341,7 @@ class TestUnlinkDiscipline:
         )
 
         dataset = synthetic_dataset(num_ases=4, seed=5)
-        result = classify_dataset_sharded(
-            dataset, PERIOD, workers=2, kernels="vector",
-        )
+        result = classify_dataset_sharded(dataset, PERIOD, workers=2)
         assert created, "expected shared-memory blocks to be created"
         assert result.failures and not result.reports
         for failure in result.failures.values():
@@ -365,9 +363,7 @@ class TestUnlinkDiscipline:
             executor_module, "pack_dataset", spying_pack
         )
         dataset = synthetic_dataset(num_ases=4, seed=5)
-        result = classify_dataset_sharded(
-            dataset, PERIOD, workers=2, kernels="vector",
-        )
+        result = classify_dataset_sharded(dataset, PERIOD, workers=2)
         assert created
         assert result.reports and not result.failures
         for name in created:

@@ -1,7 +1,7 @@
 """Shared fixtures for the streaming-engine differential harness.
 
 The worlds replayed here are the *same* seeded worlds the kernel
-differential suite (``tests/kernels``) pins the backends on: the
+differential suite (``tests/kernels``) pins: the
 10-AS generated survey world, the synthetic sinusoid dataset, and
 the degenerate-corner dataset — plus their fault-injected variants.
 Every helper funnels through :func:`repro.stream.dataset_to_records`
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core import classify_dataset
-from repro.core.kernels import KERNELS_ENV
 from repro.faults import BinLoss, NaNBursts, PoisonAS, inject_dataset
 from repro.io import survey_to_dict
 from repro.parallel import WORKERS_ENV
@@ -24,6 +23,7 @@ from repro.quality import DataQualityReport
 from repro.scenarios import build_survey_world, generate_specs
 from repro.stream import StreamingSurvey, dataset_to_records, micro_batches
 from repro.timebase import MeasurementPeriod, TimeGrid
+from tests.kernels.oracle import run_on
 
 PERIOD = MeasurementPeriod("2019-09", dt.datetime(2019, 9, 2), 4)
 GRID = TimeGrid(PERIOD)
@@ -86,11 +86,13 @@ def faulted_dataset(specs, period=PERIOD):
     return dataset, table, log
 
 
-def batch_survey(dataset, table=None, kernels="reference", **kwargs):
-    """The batch pipeline's verdict plus its quality ledger."""
+def batch_survey(dataset, table=None, kernels="vector", **kwargs):
+    """The batch pipeline's verdict plus its quality ledger, computed
+    by the production kernels or the reference loops (``kernels``,
+    see :func:`tests.kernels.oracle.run_on`)."""
     quality = DataQualityReport()
-    result = classify_dataset(
-        dataset, PERIOD, table=table, kernels=kernels,
+    result = run_on(
+        kernels, classify_dataset, dataset, PERIOD, table=table,
         quality=quality, **kwargs,
     )
     return result, quality
@@ -99,7 +101,7 @@ def batch_survey(dataset, table=None, kernels="reference", **kwargs):
 def stream_replay(
     dataset,
     table=None,
-    kernels="reference",
+    kernels="vector",
     shuffle_seed=None,
     batch_size=None,
     emit_every=0,
@@ -111,8 +113,8 @@ def stream_replay(
     ``shuffle_seed`` permutes observations within each bin;
     ``batch_size`` feeds the stream in micro-batches; ``emit_every``
     snapshots a partial survey every N batches (exercising the
-    incremental-reclassification cache mid-stream).  Returns
-    ``(engine, finalized_result)``.
+    incremental-reclassification cache mid-stream); ``kernels`` as
+    :func:`batch_survey`.  Returns ``(engine, finalized_result)``.
     """
     rng = (
         np.random.default_rng(shuffle_seed)
@@ -120,27 +122,29 @@ def stream_replay(
     )
     records = dataset_to_records(dataset, rng=rng)
     engine = StreamingSurvey(
-        PERIOD, table=table, kernels=kernels,
-        approximate=approximate, **kwargs,
+        PERIOD, table=table, approximate=approximate, **kwargs,
     )
-    if batch_size is None:
-        engine.ingest_many(records)
-    else:
-        for index, batch in enumerate(
-            micro_batches(records, batch_size), start=1
-        ):
-            engine.ingest_many(batch)
-            if emit_every and index % emit_every == 0:
-                engine.emit_partial()
-    return engine, engine.finalize()
+
+    def replay():
+        if batch_size is None:
+            engine.ingest_many(records)
+        else:
+            for index, batch in enumerate(
+                micro_batches(records, batch_size), start=1
+            ):
+                engine.ingest_many(batch)
+                if emit_every and index % emit_every == 0:
+                    engine.emit_partial()
+        return engine.finalize()
+
+    return engine, run_on(kernels, replay)
 
 
 @pytest.fixture(autouse=True)
 def _pin_environment(monkeypatch):
-    """Neutralize the CI matrix knobs: every run in this package
-    selects its backend and execution mode explicitly."""
+    """Neutralize the CI matrix knob: every run in this package
+    selects its execution mode explicitly."""
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
 
 
 @pytest.fixture(scope="session")

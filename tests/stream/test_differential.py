@@ -3,9 +3,10 @@
 The contract (``repro.stream.engine``): with exact medians, a
 finalized streaming survey is **bit-identical** — under
 ``survey_to_dict`` — to the batch pipeline over the same data, for
-any arrival order within a bin, any micro-batch split, on either
-kernel backend.  This file proves it by replaying every seeded world
-the kernel differential suite pins the backends on: the 10-AS survey
+any arrival order within a bin, any micro-batch split, whether the
+production kernels or the reference loops (``tests.kernels.oracle``)
+do the arithmetic.  This file proves it by replaying every seeded
+world the kernel differential suite pins: the 10-AS survey
 world, the synthetic sinusoid dataset, the degenerate corners, and
 the fault-injected variants — in order, shuffled within bins,
 micro-batched with mid-stream partial emits, and in approximate
@@ -91,8 +92,8 @@ class TestSeededWorldReplay:
     def test_vector_backend_replay(
         self, seeded, batch_reference, batch_vector
     ):
-        """The backend seam applies to streaming runs too: a vector
-        replay matches the vector batch, which matches reference."""
+        """A shuffled replay on the production kernels matches the
+        production batch, which matches the reference loops."""
         dataset, table = seeded
         reference, _ = batch_reference
         vector, _ = batch_vector
@@ -111,7 +112,7 @@ class TestFaultedWorldReplay:
     def test_faulted_replay_identical_both_backends(self, faulted):
         """Bin loss, NaN bursts and poisoned ASes: failure accounting
         and quality counts must survive the streaming route intact,
-        on both backends."""
+        with either kernels."""
         dataset, table, _log = faulted
         batch_ref, _ = batch_survey(
             dataset, table=table, kernels="reference"

@@ -234,13 +234,13 @@ class TestRecordsAndErrors:
             list(micro_batches([SampleRecord(1, 0)], 0))
 
     def test_status_snapshot(self):
-        engine = StreamingSurvey(PERIOD, kernels="reference")
+        engine = StreamingSurvey(PERIOD)
         engine.ingest(ProbeRecord(1, meta=meta(1, 100)))
         engine.ingest(SampleRecord(1, 0, (1.0,)))
         status = engine.status()
         assert status["period"] == PERIOD.name
         assert status["mode"] == "exact"
-        assert status["kernel"] == "reference"
+        assert "kernel" not in status
         assert status["records_ingested"] == 2
         assert status["probes"] == 1
         assert status["open_bins"] == 1

@@ -6,8 +6,9 @@ Three contracts back the streaming engine's equivalence claim:
   the stream, is invariant under within-bin permutation, and handles
   NaN exactly like the batch kernels (propagate, never skip);
 * finalizing a bin through the engine's kernel call
-  (``bin_medians`` over the buffered samples) equals the estimator's
-  own value — the two routes to a closed bin's median agree;
+  (``dataset_bin_medians`` over the buffered samples) equals the
+  estimator's own value and the reference loop's — the routes to a
+  closed bin's median agree;
 * :class:`P2Median` is exact through its first five samples, always
   lies within the observed sample range, is permanently poisoned by
   NaN, and tracks the exact median within the documented tolerance
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernels.reference import REFERENCE
+from repro.core.kernels.vector import dataset_bin_medians
 from repro.stream import ExactMedian, P2Median
 
 finite_samples = st.lists(
@@ -66,16 +68,23 @@ class TestExactMedian:
 
     @given(finite_samples)
     def test_kernel_finalization_agrees(self, samples):
-        """The engine's two routes to a closed bin — the estimator's
-        value and ``bin_medians`` over its buffer — are one number."""
+        """The routes to a closed bin — the estimator's value, the
+        engine's ``dataset_bin_medians`` over its buffer, and the
+        reference ``bin_medians`` loop — are one number."""
         estimator = ExactMedian()
         estimator.extend(samples)
         count = max(len(samples), 3)  # past the sanity threshold
-        medians, _ = REFERENCE.bin_medians(
-            [0], [estimator.samples()],
-            np.array([count], dtype=np.int64), 1, 3,
+        buffered = estimator.samples()
+        medians, _ = dataset_bin_medians(
+            np.zeros(len(buffered), dtype=np.int64),
+            np.asarray(buffered), 1, 1,
+            np.array([[count]], dtype=np.int64), 3,
         )
-        assert float(medians[0]) == estimator.value()
+        reference, _ = REFERENCE.bin_medians(
+            [0], [buffered], np.array([count], dtype=np.int64), 1, 3,
+        )
+        assert float(medians[0, 0]) == estimator.value()
+        assert float(reference[0]) == estimator.value()
 
 
 class TestP2Median:

@@ -130,34 +130,31 @@ class TestSurveyCommand:
 
 
 class TestKernelsFlag:
-    def test_parser_accepts_backend_names(self):
-        for command in ("survey", "classify"):
-            base = [command] if command == "survey" else [command, "x"]
-            args = build_parser().parse_args(base)
-            assert args.kernels is None
-            args = build_parser().parse_args(
-                base + ["--kernels", "vector"]
-            )
-            assert args.kernels == "vector"
-
-    def test_parser_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["survey", "--kernels", "turbo"])
-
     def test_survey_backends_export_identical_sites(self, tmp_path,
                                                     capsys):
+        """The exported site is the same bytes whether the production
+        kernels or the reference loops do the arithmetic."""
+        from tests.kernels.oracle import run_on
+
         sites = {}
         for backend in ("reference", "vector"):
             out = tmp_path / backend
-            code = main([
+            code = run_on(backend, main, [
                 "survey", "--ases", "10", "--countries", "3",
                 "--periods", "1", "--out", str(out),
-                "--kernels", backend,
             ])
             assert code == 0
             sites[backend] = (out / "surveys.json").read_bytes()
         capsys.readouterr()
         assert sites["vector"] == sites["reference"]
+
+    def test_parser_rejects_unknown_backend(self):
+        """There is one analysis path: no backend name is known."""
+        for backend in ("turbo", "vector", "reference"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["survey", "--kernels", backend]
+                )
 
 
 class TestTokyoCommand:
