@@ -33,8 +33,7 @@
   committed period, ``--reference-periods`` judges against history;
 * ``info``     — version and layout.
 
-The analysis runs on one vectorized path (``repro.core.kernels``);
-there is no backend to select.
+The analysis runs on one vectorized path (``repro.core.kernels``).
 
 ``survey`` and ``inject`` accept ``--trace`` (print the span tree) and
 ``--metrics-out PATH`` (write the full observability report as JSON,

@@ -15,7 +15,7 @@ every stage.
   :func:`~repro.core.aggregate.probe_queuing_delay` row for row.
 * :func:`population_median_pass` — per-AS aggregated medians and
   contributing counts for *every* AS in one pass: a NaN-padded
-  (group x bin x probe) cube sorted along its last axis, or, past a
+  (bin x group x probe) cube sorted along its last axis, or, past a
   size cap, one :func:`~repro.core.kernels.vector.grouped_median`
   call over ``group * num_bins + bin`` keys of the NaN-filtered delay
   values.  ``numpy.nanmedian`` over a matrix column is by definition
@@ -336,7 +336,7 @@ def population_median_pass(
     return medians, contributing
 
 
-#: Cap on the padded (group x bin x probe) cube; beyond this the
+#: Cap on the padded (bin x group x probe) cube; beyond this the
 #: keyed grouped-median fallback bounds memory instead.
 _CUBE_MAX_ELEMENTS = 8_000_000
 

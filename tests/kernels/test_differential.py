@@ -26,16 +26,23 @@ from repro.core import LastMileDataset, ProbeBinSeries
 from repro.faults import BinLoss, NaNBursts, PoisonAS
 from repro.parallel import WORKERS_ENV
 from repro.timebase import MeasurementPeriod, TimeGrid
+from tests.golden.regenerate import (
+    DIFFERENTIAL_WORLDS as WORLDS,
+    canonical_world,
+    pinned_world,
+)
 
 PERIOD = MeasurementPeriod("2019-09", dt.datetime(2019, 9, 2), 4)
 GRID = TimeGrid(PERIOD)
 
 
-def assert_pinned(name, value):
-    """``value`` serializes to exactly the pinned bytes of ``name``."""
-    from tests.golden.regenerate import canonical_world, pinned_world
-
-    assert canonical_world(value) == canonical_world(pinned_world(name))
+def assert_pinned(name, value, part=None):
+    """``value`` serializes to exactly the pinned bytes of ``name``
+    (of its ``part`` entry, when given)."""
+    pinned = pinned_world(name)
+    if part is not None:
+        pinned = pinned[part]
+    assert canonical_world(value) == canonical_world(pinned)
 
 
 @pytest.fixture(autouse=True)
@@ -152,54 +159,46 @@ def dirty_traceroutes():
 
 class TestSeededWorldEquivalence:
     def test_serial_survey_identical(self):
-        survey = worlds()["seeded-survey"]()
+        survey = WORLDS["seeded-survey"]()
         assert_pinned("seeded-survey", survey)
         assert len(survey["reports"]) == 10
 
     def test_sharded_vector_matches_serial_reference(self):
         assert_pinned(
-            "seeded-survey", worlds()["seeded-survey"](workers=3)
+            "seeded-survey", WORLDS["seeded-survey"](workers=3)
         )
 
 
 class TestFaultedEquivalence:
     def test_faulted_survey_identical(self):
-        faulted = worlds()["faulted-survey"]()
+        faulted = WORLDS["faulted-survey"]()
         assert_pinned("faulted-survey", faulted)
         assert faulted["survey"]["failures"], (
             "PoisonAS should fail one AS"
         )
 
     def test_faulted_sharded_vector_identical(self):
-        from tests.golden.regenerate import canonical_world, pinned_world
-
-        sharded = worlds()["faulted-survey"](workers=4)
-        assert canonical_world(sharded["survey"]) == canonical_world(
-            pinned_world("faulted-survey")["survey"]
-        )
+        sharded = WORLDS["faulted-survey"](workers=4)
+        assert_pinned("faulted-survey", sharded["survey"], "survey")
 
 
 class TestDegenerateEquivalence:
     def test_degenerate_dataset_identical(self):
-        from tests.golden.regenerate import canonical_world, pinned_world
-
-        survey = worlds()["degenerate-survey"]()["survey"]
-        assert canonical_world(survey) == canonical_world(
-            pinned_world("degenerate-survey")["survey"]
-        )
+        survey = WORLDS["degenerate-survey"]()["survey"]
+        assert_pinned("degenerate-survey", survey, "survey")
         # The flat and dead ASes really exercised the degenerate path.
         assert survey["reports"]["202"]["severity"] == "none"
         assert survey["reports"]["200"]["severity"] == "none"
 
     def test_single_probe_asn_identical(self):
-        survey = worlds()["single-probe-survey"]()
+        survey = WORLDS["single-probe-survey"]()
         assert_pinned("single-probe-survey", survey)
         assert "201" in survey["reports"]
 
     def test_empty_period_identical(self):
         """A dataset with no probes at all: an empty survey, not an
         error."""
-        survey = worlds()["empty-survey"]()
+        survey = WORLDS["empty-survey"]()
         assert_pinned("empty-survey", survey)
         assert survey["reports"] == {}
         assert survey["failures"] == {}
@@ -207,30 +206,20 @@ class TestDegenerateEquivalence:
     def test_quality_ledgers_identical(self):
         """The full ledger, quarantine samples and their order
         included."""
-        from tests.golden.regenerate import canonical_world, pinned_world
-
-        ledger = worlds()["degenerate-survey"]()["quality"]
-        assert canonical_world(ledger) == canonical_world(
-            pinned_world("degenerate-survey")["quality"]
-        )
+        ledger = WORLDS["degenerate-survey"]()["quality"]
+        assert_pinned("degenerate-survey", ledger, "quality")
 
     def test_kept_signals_identical(self):
-        assert_pinned("kept-signals", worlds()["kept-signals"]())
+        assert_pinned("kept-signals", WORLDS["kept-signals"]())
 
 
 class TestStageLevelEquivalence:
     def test_aggregate_identical_on_degenerates(self):
         assert_pinned(
-            "degenerate-aggregates", worlds()["degenerate-aggregates"]()
+            "degenerate-aggregates", WORLDS["degenerate-aggregates"]()
         )
 
     def test_estimation_identical_on_dirty_traceroutes(self):
         assert_pinned(
-            "dirty-estimation", worlds()["dirty-estimation"]()
+            "dirty-estimation", WORLDS["dirty-estimation"]()
         )
-
-
-def worlds():
-    from tests.golden.regenerate import DIFFERENTIAL_WORLDS
-
-    return DIFFERENTIAL_WORLDS

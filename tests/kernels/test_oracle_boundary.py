@@ -3,7 +3,9 @@
 An AST scan over ``src/repro``: no pipeline module may import
 :mod:`repro.core.kernels.reference` (absolutely, relatively, or by
 name through ``importlib``), and none may read the retired
-``REPRO_KERNELS`` backend switch.
+``REPRO_KERNELS`` backend switch.  The oracle reaches the pipeline
+only through the tests' own swap (:mod:`tests.kernels.oracle`), which
+is checked here too.
 """
 
 import ast
@@ -97,3 +99,37 @@ def test_scan_catches_every_spelling(tmp_path):
         "sibling.py", "relative.py", "absolute.py", "dynamic.py",
         "env.py",
     }
+
+
+def test_oracle_arithmetic_reaches_the_pipeline(monkeypatch):
+    """``tests.kernels.oracle`` swaps module attributes; if the
+    pipeline stopped calling one of them, the oracle legs of the
+    golden, stream and shard suites would silently test the
+    production kernels twice."""
+    import datetime as dt
+
+    from repro.core import classify_dataset, estimate_probe_series
+    from repro.timebase import MeasurementPeriod, TimeGrid
+    from tests.kernels import oracle
+    from tests.kernels.test_differential import (
+        PERIOD,
+        dirty_traceroutes,
+        synthetic_dataset,
+    )
+
+    seen = set()
+
+    def spy(name, fn):
+        def called(*args, **kwargs):
+            seen.add(name)
+            return fn(*args, **kwargs)
+        return called
+
+    monkeypatch.setattr(oracle, "SWAPS", tuple(
+        (module, name, spy(name, fn)) for module, name, fn in oracle.SWAPS
+    ))
+    day = TimeGrid(MeasurementPeriod("d", dt.datetime(2019, 9, 2), 1))
+    with oracle.reference_arithmetic():
+        classify_dataset(synthetic_dataset(num_ases=2), PERIOD)
+        estimate_probe_series(dirty_traceroutes(), day)
+    assert seen == {name for _module, name, _fn in oracle.SWAPS}
