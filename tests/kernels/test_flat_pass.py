@@ -32,6 +32,7 @@ from repro.core.series import ProbeBinSeries
 from repro.timebase import MeasurementPeriod, TimeGrid
 
 from tests.core.test_lastmile import hop, traceroute, typical_traceroute
+from tests.kernels.oracle import reference_population_medians
 from tests.kernels.test_differential import (
     degenerate_dataset,
     synthetic_dataset,
@@ -226,25 +227,6 @@ class TestDelayMatrix:
 
 
 class TestPopulationMedianPass:
-    @staticmethod
-    def reference_medians(delays, group_rows):
-        """Per-AS nanmedian exactly as ``aggregate_population``."""
-        num_bins = delays.shape[1]
-        medians = np.empty((len(group_rows), num_bins))
-        contributing = np.empty(
-            (len(group_rows), num_bins), dtype=np.int64
-        )
-        for g, rows in enumerate(group_rows):
-            stacked = delays[np.asarray(rows, dtype=np.int64)]
-            with np.errstate(all="ignore"):
-                import warnings
-
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    medians[g] = np.nanmedian(stacked, axis=0)
-            contributing[g] = np.sum(~np.isnan(stacked), axis=0)
-        return medians, contributing
-
     def _random_case(self, seed, num_probes=40, num_bins=48):
         rng = np.random.default_rng(seed)
         delays = rng.normal(2.0, 1.0, (num_probes, num_bins))
@@ -265,7 +247,7 @@ class TestPopulationMedianPass:
     def test_bit_identical_to_nanmedian(self, seed):
         delays, groups = self._random_case(seed)
         got_m, got_c = population_median_pass(delays, groups)
-        exp_m, exp_c = self.reference_medians(delays, groups)
+        exp_m, exp_c = reference_population_medians(delays, groups)
         np.testing.assert_array_equal(got_m, exp_m)
         np.testing.assert_array_equal(got_c, exp_c)
 
@@ -280,7 +262,7 @@ class TestPopulationMedianPass:
         keyed_m, keyed_c = population_median_pass(delays, groups)
         np.testing.assert_array_equal(keyed_m, cube_m)
         np.testing.assert_array_equal(keyed_c, cube_c)
-        exp_m, exp_c = self.reference_medians(delays, groups)
+        exp_m, exp_c = reference_population_medians(delays, groups)
         np.testing.assert_array_equal(keyed_m, exp_m)
         np.testing.assert_array_equal(keyed_c, exp_c)
 
@@ -290,7 +272,7 @@ class TestPopulationMedianPass:
         delays, _ = self._random_case(6, num_probes=4)
         rows = np.array([1, 1, 2], dtype=np.int64)
         got_m, got_c = population_median_pass(delays, [rows])
-        exp_m, exp_c = self.reference_medians(delays, [rows])
+        exp_m, exp_c = reference_population_medians(delays, [rows])
         np.testing.assert_array_equal(got_m, exp_m)
         np.testing.assert_array_equal(got_c, exp_c)
 
