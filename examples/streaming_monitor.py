@@ -17,7 +17,7 @@ import numpy as np
 from repro.atlas import AtlasPlatform, ProbeVersion
 from repro.core import daily_panel
 from repro.netbase import AccessTechnology, ASInfo, ASRole
-from repro.raclette import LastMileMonitor, MonitorConfig, PrintSink
+from repro.stream import LastMileMonitor, MonitorConfig, PrintSink
 from repro.timebase import MeasurementPeriod
 from repro.topology import ProvisioningPolicy, World
 

@@ -46,7 +46,6 @@ The streaming monitor has its own entry point
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -347,11 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(request id, route, status, duration, outcome); flushed on "
         "graceful shutdown",
     )
-    serve.add_argument(
-        "--no-mmap", action="store_true",
-        help="read packed segments via seek+read file handles "
-        "instead of memory-mapping them (REPRO_STORE_MMAP=0)",
-    )
     _add_obs_flags(serve)
 
     loadtest = sub.add_parser(
@@ -407,11 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--max-concurrency", type=int, default=64, metavar="N",
         help="server-side in-flight ceiling for the ephemeral server",
-    )
-    loadtest.add_argument(
-        "--no-mmap", action="store_true",
-        help="read packed segments via seek+read file handles "
-        "instead of memory-mapping them (REPRO_STORE_MMAP=0)",
     )
 
     quality = sub.add_parser(
@@ -1155,10 +1144,8 @@ def cmd_serve(args) -> int:
     from .netbase.errors import NetbaseError
     from .obs import observed
     from .serve import ResilienceConfig, SurveyServer
-    from .store import STORE_MMAP_ENV, SurveyArchive
+    from .store import SurveyArchive
 
-    if args.no_mmap:
-        os.environ[STORE_MMAP_ENV] = "0"
     try:
         resilience = ResilienceConfig(
             max_concurrency=args.max_concurrency,
@@ -1247,10 +1234,6 @@ def cmd_loadtest(args) -> int:
         print("error: need an archive directory or --url",
               file=sys.stderr)
         return 2
-    if args.no_mmap:
-        from .store import STORE_MMAP_ENV
-
-        os.environ[STORE_MMAP_ENV] = "0"
     try:
         spec = (
             parse_mix_spec(args.mix) if args.mix

@@ -26,7 +26,7 @@ from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
 from ..timebase import TimeGrid
 from .kernels import record_kernel_op
-from .kernels.flat import delay_matrix
+from .kernels.flat import delay_matrix, population_median_pass
 from .lastmile import MIN_TRACEROUTES_PER_BIN
 from .series import LastMileDataset, ProbeBinSeries
 
@@ -142,13 +142,14 @@ def aggregate_population(
                     STAGE, DropReason.NO_VALID_BINS, n=dead,
                     detail=f"{dead} probes contributed no valid bin",
                 )
-        contributing = np.sum(~np.isnan(stacked), axis=0)
-        with warnings.catch_warnings():
-            # All-NaN bins (every probe invalid) legitimately yield NaN.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            medians = np.nanmedian(stacked, axis=0)
+        # The survey's population pass, over one group of every row:
+        # all-NaN bins (every probe invalid) yield NaN.
+        medians, contributing = population_median_pass(
+            stacked, [np.arange(len(probe_ids))]
+        )
+        contributing = contributing[0]
         medians = np.where(
-            contributing >= min_probes_per_bin, medians, np.nan
+            contributing >= min_probes_per_bin, medians[0], np.nan
         )
         obs.items_out(STAGE, len(probe_ids))
         return AggregatedSignal(

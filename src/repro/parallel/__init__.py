@@ -39,12 +39,10 @@ from .sharding import partition_asns, shard_groups
 from .transport import (
     PackedDataset,
     PackedSignals,
-    SHM_ENV,
     ShmBlockRef,
     pack_arrays,
     pack_dataset,
     pack_signals,
-    shm_enabled,
     unpack_arrays,
     unpack_dataset,
     unpack_signals,
@@ -80,7 +78,6 @@ __all__ = [
     "run_survey_shard",
     "run_dataset_shard",
     "slice_dataset",
-    "SHM_ENV",
     "ShmBlockRef",
     "PackedDataset",
     "PackedSignals",
@@ -90,5 +87,4 @@ __all__ = [
     "unpack_dataset",
     "pack_signals",
     "unpack_signals",
-    "shm_enabled",
 ]

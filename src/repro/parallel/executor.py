@@ -56,7 +56,6 @@ from .cache import (
 from .sharding import shard_groups
 from .transport import (
     pack_dataset,
-    shm_enabled,
     unpack_signals,
 )
 from .worker import (
@@ -250,9 +249,9 @@ def classify_dataset_sharded(
     """Sharded equivalent of :func:`repro.core.classify_dataset`.
 
     The dataset already exists in memory, so each shard task carries
-    its slice of it (series are shared in-process, pickled per shard
-    under a pool).  Caching keys hash the per-probe bin arrays
-    (:func:`repro.parallel.cache.dataset_as_fingerprint`) and is
+    its slice of it (series are shared in-process, shipped through
+    shared memory under a pool).  Caching keys hash the per-probe bin
+    arrays (:func:`repro.parallel.cache.dataset_as_fingerprint`) and is
     bypassed when ``keep_signals`` is set — signals are not part of
     cache payloads, so serving a hit would silently drop them.
     """
@@ -295,7 +294,6 @@ def classify_dataset_sharded(
         # Zero-copy boundary: with a real pool, each shard's numeric
         # payload rides in a shared-memory block the parent owns (and
         # unlinks, success or crash); in-process shards skip packing.
-        use_shm = workers > 1 and shm_enabled()
         tasks = [
             DatasetShardTask(
                 index=index,
@@ -304,7 +302,7 @@ def classify_dataset_sharded(
                         prb_id for probe_ids in shard.values()
                         for prb_id in probe_ids
                     ]),
-                    use_shm=use_shm,
+                    use_shm=workers > 1,
                 ),
                 groups=shard, thresholds=thresholds,
                 max_attempts=max_attempts, keep_signals=keep_signals,

@@ -28,15 +28,14 @@ consumer crashed; attachers only ever close.  Unlinking twice is
 tolerated (:func:`ShmBlockRef.release` swallows
 ``FileNotFoundError``) so crash paths may release defensively.
 
-Fallback: when ``multiprocessing.shared_memory`` is unavailable or
-``REPRO_SHM=0`` (``off``/``false``/``pickle`` also count), packing
-degrades to carrying the original objects — the classic pickle
-boundary — with identical results by construction.
+A pool with more than one worker always ships shards through shared
+memory; in-process shards (``workers == 1``) carry the dataset object
+itself (``pack_dataset(..., use_shm=False)``), since nothing crosses a
+process boundary.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -44,23 +43,7 @@ import numpy as np
 
 from ..core.series import LastMileDataset, ProbeBinSeries
 
-#: Environment knob: ``0``/``off``/``false``/``pickle`` disables the
-#: shared-memory path and falls back to pickling shard datasets.
-SHM_ENV = "REPRO_SHM"
-
 _ALIGN = 16
-
-
-def shm_enabled() -> bool:
-    """True when the shared-memory transport should be used."""
-    env = os.environ.get(SHM_ENV, "").strip().lower()
-    if env in {"0", "off", "false", "no", "pickle"}:
-        return False
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover — always present on CPython
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -185,8 +168,8 @@ class PackedDataset:
     """Picklable stand-in for a shard's :class:`LastMileDataset`.
 
     Either ``block`` carries the numeric payload (shared-memory path)
-    or ``fallback`` carries the dataset itself (pickle path); exactly
-    one is set.
+    or ``fallback`` carries the dataset itself (in-process shard);
+    exactly one is set.
     """
 
     grid: object
@@ -197,17 +180,19 @@ class PackedDataset:
     fallback: Optional[LastMileDataset] = None
 
     def release(self) -> None:
-        """Unlink the underlying block (no-op on the pickle path)."""
+        """Unlink the underlying block (no-op for in-process shards)."""
         if self.block is not None:
             self.block.release()
 
 
 def pack_dataset(
-    dataset: LastMileDataset, use_shm: Optional[bool] = None
+    dataset: LastMileDataset, use_shm: bool = True
 ) -> PackedDataset:
-    """Pack a dataset slice for transport to a shard worker."""
-    if use_shm is None:
-        use_shm = shm_enabled()
+    """Pack a dataset slice for transport to a shard worker.
+
+    ``use_shm=False`` carries the dataset object itself, for a shard
+    that runs in the parent process.
+    """
     if not use_shm:
         return PackedDataset(
             grid=dataset.grid,
@@ -271,16 +256,13 @@ class PackedSignals:
 
 
 def pack_signals(
-    signals: Mapping[int, object], use_shm: Optional[bool] = None
+    signals: Mapping[int, object],
 ) -> Optional[PackedSignals]:
     """Pack per-AS :class:`AggregatedSignal` arrays for the parent.
 
-    Returns None when there is nothing to ship or the shared-memory
-    path is off (signals then ride the normal pickle channel).
+    Returns None when there is nothing to ship.
     """
-    if use_shm is None:
-        use_shm = shm_enabled()
-    if not use_shm or not signals:
+    if not signals:
         return None
     asns = sorted(signals)
     arrays: Dict[str, np.ndarray] = {}

@@ -68,8 +68,7 @@ class ShardResult:
     #: Worker-side metrics + spans (None when the parent ran un-observed).
     telemetry: Optional[object] = None
     #: Kept signals shipped via shared memory instead of pickling
-    #: (None when ``keep_signals`` is off or the shm path is down —
-    #: signals then stay on their outcomes).
+    #: (None when ``keep_signals`` is off or no AS kept a signal).
     packed_signals: Optional[object] = None
 
 

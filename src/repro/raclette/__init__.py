@@ -1,18 +1,25 @@
 """raclette — streaming last-mile delay monitoring.
 
 The paper releases its tooling as *raclette: human-friendly monitoring
-of Internet delays* [16].  This subpackage is the streaming face of
-the reproduction: the same §2 methodology, restructured for unbounded
-result streams with bounded memory, plus sustained-congestion alerts.
+of Internet delays* [16].  The monitor itself lives in
+:mod:`repro.stream.monitor`, beside the streaming survey engine whose
+open-bin estimator it shares; this package re-exports it and holds the
+``python -m repro.raclette`` CLI.
 
 Run the CLI on an Atlas-schema JSON-lines file::
 
     python -m repro.raclette --rib rib.txt results.jsonl
 """
 
-from .alerts import Alert, AlertSink, ListSink, PrintSink
-from .monitor import LastMileMonitor, MonitorConfig
-from .sketch import ExactMedian, P2Quantile, RollingMinimum
+from ..stream.monitor import (
+    Alert,
+    AlertSink,
+    LastMileMonitor,
+    ListSink,
+    MonitorConfig,
+    PrintSink,
+    RollingMinimum,
+)
 
 __all__ = [
     "Alert",
@@ -21,7 +28,5 @@ __all__ = [
     "PrintSink",
     "LastMileMonitor",
     "MonitorConfig",
-    "ExactMedian",
-    "P2Quantile",
     "RollingMinimum",
 ]

@@ -25,8 +25,8 @@ from ..bgp import RoutingTable
 from ..netbase import parse_address
 from ..obs import Observability, observed, render_trace, write_report
 from ..quality import DropReason
-from .alerts import PrintSink
-from .monitor import STAGE, LastMileMonitor, MonitorConfig
+from ..stream import LastMileMonitor, MonitorConfig, PrintSink
+from ..stream.monitor import STAGE
 
 
 def build_parser() -> argparse.ArgumentParser:

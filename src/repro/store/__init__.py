@@ -8,7 +8,7 @@ package is the reproduction's storage tier for that site:
   commits, checksum/quarantine discipline, secondary indexes (ASN /
   country / severity) and longitudinal queries;
 * :mod:`repro.store.segments` — the packed-segment format compaction
-  folds period JSON into (one seek + one read per point lookup);
+  folds period JSON into (memory-mapped; one slice per point lookup);
 * :mod:`repro.store.io`       — the byte-level write seam (atomic
   durable writes) production and the chaos harness share;
 * :mod:`repro.store.journal`  — the write-ahead commit journal and
@@ -27,10 +27,8 @@ from .archive import (
     ArchiveStats,
     LivePeriodWriter,
     SCHEMA_VERSION,
-    STORE_MMAP_ENV,
     SurveyArchive,
     payload_checksum,
-    store_mmap_enabled,
 )
 from .errors import (
     AnomalyReportExistsError,
@@ -69,8 +67,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "ARCHIVE_FORMAT",
     "payload_checksum",
-    "STORE_MMAP_ENV",
-    "store_mmap_enabled",
     "ArchiveError",
     "PeriodExistsError",
     "PeriodNotFoundError",

@@ -87,17 +87,6 @@ ARCHIVE_FORMAT = "repro-archive"
 
 STAGE = "store-archive"
 
-#: Environment knob: ``0``/``off``/``false``/``no``/``json`` makes
-#: segment readers use seek+read file handles instead of mmap.
-STORE_MMAP_ENV = "REPRO_STORE_MMAP"
-
-
-def store_mmap_enabled() -> bool:
-    """True when segment readers should memory-map their files."""
-    env = os.environ.get(STORE_MMAP_ENV, "").strip().lower()
-    return env not in {"0", "off", "false", "no", "json"}
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
@@ -586,9 +575,7 @@ class SurveyArchive:
         if reader is None:
             path = self.segment_path(name)
             try:
-                reader = SegmentReader(
-                    path, use_mmap=store_mmap_enabled()
-                )
+                reader = SegmentReader(path)
             except ArchiveCorruptionError:
                 self._quarantine(path)
                 raise

@@ -12,9 +12,9 @@ flat file optimized for point lookups:
   whole reconstructed payload;
 * a fixed-width trailer locating and checksumming the footer.
 
-A reader memory-maps nothing and parses nothing it does not need: the
+A reader maps the file once and parses nothing it does not need: the
 footer (a few KB) loads once per open and the per-AS index lives in
-memory, so ``get(asn)`` is one seek + one small read + one SHA-256
+memory, so ``get(asn)`` is one slice of the mapping + one SHA-256
 over the blob.  Every byte served is checksum-verified — a flipped
 bit anywhere surfaces as :class:`ArchiveCorruptionError`, never as a
 silently wrong answer.
@@ -30,8 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
-import os
-import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -174,39 +172,25 @@ def _pack_columns(reports, base_offset: int):
 class SegmentReader:
     """Point-lookup view over one packed segment.
 
-    Two read modes:
-
-    * ``use_mmap=True`` (default) maps the file once; every read is a
-      buffer slice — no seeks, no locks, and the hot columns are
-      served as zero-copy numpy views over the mapping.
-    * ``use_mmap=False`` keeps the historical shared-handle mode,
-      thread-safe via a lock around each seek+read pair.
-
-    Both modes verify every byte they serve; queries are
-    byte-identical across modes by construction (same blobs, same
-    checksums).
+    The file is mapped once at open; every read is a slice of the
+    mapping — no seeks, no locks, safe to share across threads — and
+    the hot columns are served as zero-copy numpy views over it.
+    Every byte served is verified.  A file that cannot be mapped
+    (missing, unreadable, zero-length) is corrupt.
     """
 
-    def __init__(self, path: PathLike, use_mmap: bool = True):
+    def __init__(self, path: PathLike):
         self.path = Path(path)
-        self._lock = threading.Lock()
-        self._map: Optional[mmap.mmap] = None
         self._columns: Optional[Dict[str, np.ndarray]] = None
         try:
-            self._handle = open(self.path, "rb")
-        except OSError as exc:
+            with open(self.path, "rb") as handle:
+                self._map: Optional[mmap.mmap] = mmap.mmap(
+                    handle.fileno(), 0, access=mmap.ACCESS_READ
+                )
+        except (OSError, ValueError) as exc:
             raise ArchiveCorruptionError(
                 self.path, f"segment unreadable: {exc}"
             ) from None
-        if use_mmap:
-            try:
-                self._map = mmap.mmap(
-                    self._handle.fileno(), 0, access=mmap.ACCESS_READ
-                )
-            except (OSError, ValueError):
-                # Zero-length or unmappable file: the handle path
-                # still works and reports corruption properly.
-                self._map = None
         try:
             self._footer = self._load_footer()
         except ArchiveCorruptionError:
@@ -226,15 +210,14 @@ class SegmentReader:
 
     def close(self) -> None:
         self._columns = None
-        if self._map is not None:
+        mapping, self._map = self._map, None
+        if mapping is not None:
             try:
-                self._map.close()
+                mapping.close()
             except BufferError:
                 # Column views still alive somewhere; the mapping is
                 # reclaimed when the last view dies.
                 pass
-            self._map = None
-        self._handle.close()
 
     def __enter__(self) -> "SegmentReader":
         return self
@@ -244,14 +227,17 @@ class SegmentReader:
 
     # -- internals -----------------------------------------------------
 
+    def _mapping(self) -> mmap.mmap:
+        mapping = self._map
+        if mapping is None:
+            raise ArchiveCorruptionError(
+                self.path, "segment reader closed mid-read"
+            )
+        return mapping
+
     def _read_at(self, offset: int, length: int) -> bytes:
         try:
-            if self._map is not None:
-                data = self._map[offset:offset + length]
-            else:
-                with self._lock:
-                    self._handle.seek(offset)
-                    data = self._handle.read(length)
+            data = self._mapping()[offset:offset + length]
         except ValueError:
             # A concurrent quarantine closed this reader mid-read;
             # surface it as corruption so callers fall back cleanly.
@@ -265,9 +251,9 @@ class SegmentReader:
         return data
 
     def _load_footer(self) -> Dict:
-        # fstat, not stat: the open handle stays valid even if a
-        # concurrent quarantine renames the file away mid-open.
-        size = os.fstat(self._handle.fileno()).st_size
+        # The mapping's length, not a stat: the mapping stays valid
+        # even if a concurrent quarantine renames the file away.
+        size = len(self._mapping())
         if size < len(MAGIC) + _TRAILER_LEN:
             raise ArchiveCorruptionError(
                 self.path, f"file too short ({size} bytes)"
@@ -322,9 +308,8 @@ class SegmentReader:
     def columns(self) -> Optional[Dict[str, np.ndarray]]:
         """Hot-field arrays, checksum-verified once then cached.
 
-        Zero-copy views over the mapping when mapped; materialized
-        reads otherwise.  None for segments written before the
-        columns section existed.
+        Zero-copy views over the mapping.  None for segments written
+        before the columns section existed.
         """
         if self._columns is not None:
             return self._columns
@@ -333,18 +318,13 @@ class SegmentReader:
             return None
         base = int(meta["offset"])
         nbytes = int(meta["nbytes"])
-        if self._map is not None:
-            try:
-                buffer: Union[bytes, mmap.mmap] = self._map
-                blob = memoryview(self._map)[base:base + nbytes]
-            except ValueError:
-                raise ArchiveCorruptionError(
-                    self.path, "segment reader closed mid-read"
-                ) from None
-            section_base = base
-        else:
-            blob = buffer = self._read_at(base, nbytes)
-            section_base = 0
+        mapping = self._mapping()
+        try:
+            blob = memoryview(mapping)[base:base + nbytes]
+        except ValueError:
+            raise ArchiveCorruptionError(
+                self.path, "segment reader closed mid-read"
+            ) from None
         if len(blob) != nbytes or _sha(blob) != meta.get("checksum"):
             raise ArchiveCorruptionError(
                 self.path, "columns section fails checksum"
@@ -352,8 +332,8 @@ class SegmentReader:
         arrays: Dict[str, np.ndarray] = {}
         for name, (offset, count, dtype) in meta["arrays"].items():
             view = np.frombuffer(
-                buffer, dtype=np.dtype(dtype), count=int(count),
-                offset=section_base + int(offset) - base,
+                mapping, dtype=np.dtype(dtype), count=int(count),
+                offset=int(offset),
             )
             arrays[name] = view
         self._columns = arrays

@@ -1,21 +1,35 @@
-"""Streaming last-mile monitor (the paper's *raclette* artifact).
+"""Sustained-congestion monitor (the paper's *raclette* tool [16]).
 
 Consumes traceroute results as they arrive (roughly timestamp-ordered,
-as the Atlas result stream is), maintains per-probe 30-minute bins,
-and — as bins close — updates per-AS aggregated queueing-delay state
-with a rolling propagation-delay baseline.  Sustained deviations raise
-:class:`~repro.raclette.alerts.Alert` records.
+as the Atlas result stream is), keeps one open 30-minute bin per probe
+in an :class:`~repro.stream.median.ExactMedian` — the same estimator
+:class:`~repro.stream.engine.StreamingSurvey` buffers its open bins
+in — and, as bins close, updates per-AS aggregated queueing-delay
+state with a rolling propagation-delay baseline.  Sustained deviations
+raise :class:`Alert` records on an :class:`AlertSink`.
 
-The streaming estimates match the batch pipeline's (same bin width,
-same median semantics, same sanity threshold); the only difference is
-the baseline, which is a rolling-window minimum instead of a
-whole-period minimum — the right choice for an unbounded stream.
+The per-bin estimates match the batch pipeline's (same bin width,
+same median, same sanity threshold); the only difference is the
+baseline, a rolling-window minimum instead of a whole-period minimum —
+the right choice for an unbounded stream.
+
+Why this is not a sink on :class:`StreamingSurvey`: the engine closes
+bins on one global watermark over a finite
+:class:`~repro.timebase.MeasurementPeriod` grid.  The monitor serves an
+unbounded stream with no grid, and closes each probe's bin on its own
+(a probe's next-bin record closes it; probes lagging the stream head
+by ``max_open_bins`` are force-closed), dropping stale stragglers and
+duplicates per probe.  Driving it through the engine would need a
+second closure mode in the engine's per-record ingest hot path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+import math
+import sys
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -24,10 +38,117 @@ from ..core.lastmile import MIN_TRACEROUTES_PER_BIN, lastmile_samples
 from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
 from ..timebase import DELAY_BIN_SECONDS
-from .alerts import Alert, AlertSink, ListSink
-from .sketch import ExactMedian, RollingMinimum
+from .median import ExactMedian
 
+#: Quality-ledger stage of the monitor (the metric names keep the
+#: tool's ``raclette_`` prefix).
 STAGE = "raclette-monitor"
+
+
+# -- alerts ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Alert:
+    """One congestion state change for an AS.
+
+    ``kind`` is ``"congestion-start"`` (sustained elevated delay) or
+    ``"congestion-end"`` (delay back under the threshold).
+    """
+
+    asn: int
+    start_bin: int
+    bin_seconds: int
+    delay_ms: float
+    kind: str
+
+    @property
+    def start_seconds(self) -> float:
+        """Stream-relative start time of the alert condition."""
+        return self.start_bin * float(self.bin_seconds)
+
+    def __str__(self) -> str:
+        hours = self.start_seconds / 3600.0
+        return (
+            f"[{self.kind}] AS{self.asn} at t+{hours:.1f}h "
+            f"(aggregated delay {self.delay_ms:.2f} ms)"
+        )
+
+
+class AlertSink(Protocol):
+    """Anything that can receive alerts."""
+
+    def emit(self, alert: Alert) -> None:  # pragma: no cover - protocol
+        """Receive one alert."""
+        ...
+
+
+class ListSink:
+    """Collects alerts in memory (default sink; easy to assert on)."""
+
+    def __init__(self):
+        self.alerts: List[Alert] = []
+
+    def emit(self, alert: Alert) -> None:
+        """Store the alert."""
+        self.alerts.append(alert)
+
+    def starts(self) -> List[Alert]:
+        """Only the congestion-start alerts."""
+        return [a for a in self.alerts if a.kind == "congestion-start"]
+
+    def ends(self) -> List[Alert]:
+        """Only the congestion-end alerts."""
+        return [a for a in self.alerts if a.kind == "congestion-end"]
+
+
+class PrintSink:
+    """Writes alerts to a stream as they fire (CLI default)."""
+
+    def __init__(self, stream=None):
+        self.stream = stream if stream is not None else sys.stdout
+
+    def emit(self, alert: Alert) -> None:
+        """Print the alert immediately."""
+        print(str(alert), file=self.stream)
+
+
+# -- rolling baseline ------------------------------------------------------
+
+
+class RollingMinimum:
+    """Sliding-window minimum with O(1) amortized updates.
+
+    ``window`` is in *pushes*: with one push per 30-minute bin, a
+    window of 336 covers one week — the streaming stand-in for the
+    per-period minimum baseline of the batch pipeline.
+    """
+
+    def __init__(self, window: int):
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        self.window = window
+        self._deque: Deque[Tuple[int, float]] = deque()
+        self._index = 0
+
+    def push(self, value: float) -> float:
+        """Insert one value; returns the current window minimum."""
+        value = float(value)
+        while self._deque and self._deque[-1][1] >= value:
+            self._deque.pop()
+        self._deque.append((self._index, value))
+        self._index += 1
+        cutoff = self._index - self.window
+        while self._deque and self._deque[0][0] < cutoff:
+            self._deque.popleft()
+        return self._deque[0][1]
+
+    def minimum(self) -> Optional[float]:
+        """Current window minimum, or None when empty."""
+        return self._deque[0][1] if self._deque else None
+
+
+# -- monitor ---------------------------------------------------------------
 
 
 @dataclass
@@ -215,8 +336,7 @@ class LastMileMonitor:
                 f"probe {result.prb_id}: {exc}",
             )
             return
-        if samples:
-            state.median.extend(samples)
+        state.median.extend(samples)
 
     def ingest_many(self, results) -> None:
         """Feed an iterable of results."""
@@ -255,8 +375,8 @@ class LastMileMonitor:
                 "traceroutes",
             )
             return
-        median = state.median.median()
-        if median is None:
+        median = state.median.value()
+        if math.isnan(median):
             self._skip_bin(
                 DropReason.NO_VALID_BINS,
                 f"probe {prb_id}: bin {state.current_bin} had no "

@@ -9,17 +9,23 @@ pipeline backend, after checking the vectorized backend agreed.
 """
 
 import numpy as np
+import pytest
 
 from repro.anomaly import detect_anomalies, link_bin_medians, scan_links
 from repro.parallel.cache import canonical_json
 from tests.golden.regenerate import pinned_world
 
 
-def report_bytes(sim, grid, **kwargs):
-    report = detect_anomalies(
-        sim[0].results, grid, period_name="simulated", **kwargs
-    )
-    return canonical_json(report.payload)
+@pytest.fixture(scope="module")
+def report_bytes(sim, grid):
+    """Canonical report bytes per shard count, each detected once."""
+    return {
+        shards: canonical_json(detect_anomalies(
+            sim[0].results, grid, period_name="simulated",
+            shards=shards,
+        ).payload)
+        for shards in (1, 2, 3)
+    }
 
 
 def pinned_report_bytes():
@@ -27,17 +33,16 @@ def pinned_report_bytes():
 
 
 class TestByteIdentity:
-    def test_reference_vs_vector(self, sim, grid):
-        assert report_bytes(sim, grid) == pinned_report_bytes()
+    def test_reference_vs_vector(self, report_bytes):
+        assert report_bytes[1] == pinned_report_bytes()
 
-    def test_serial_vs_sharded(self, sim, grid):
-        serial = report_bytes(sim, grid)
+    def test_serial_vs_sharded(self, report_bytes):
         for shards in (2, 3):
-            assert report_bytes(sim, grid, shards=shards) == serial
+            assert report_bytes[shards] == report_bytes[1]
 
-    def test_sharded_vector_vs_serial_reference(self, sim, grid):
+    def test_sharded_vector_vs_serial_reference(self, report_bytes):
         # The full cross: both axes at once.
-        assert report_bytes(sim, grid, shards=3) == pinned_report_bytes()
+        assert report_bytes[3] == pinned_report_bytes()
 
 
 class TestKernelMedians:

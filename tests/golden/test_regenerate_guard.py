@@ -5,13 +5,19 @@ while the pipeline sources carry uncommitted changes — a golden
 regenerated from a dirty tree silently blesses unreviewed output —
 unless ``--force`` says that is exactly what the operator wants.
 The guard is exercised against a throwaway git repository so these
-tests never depend on (or disturb) the state of the real checkout.
+tests never depend on (or disturb) the state of the real checkout,
+and with the fixture builders stubbed out: only the guard is under
+test here (``test_golden_survey.py`` and ``test_golden_anomaly.py``
+check the real builders against the committed goldens).
 """
 
 import subprocess
 
 import pytest
 
+from repro.core.survey import SurveyResult
+
+from . import regenerate
 from .regenerate import GUARDED, main, uncommitted_changes
 
 
@@ -58,6 +64,20 @@ class TestUncommittedChanges:
         assert uncommitted_changes(tmp_path / "plain") == []
 
 
+@pytest.fixture()
+def cheap_builders(monkeypatch):
+    """Empty stand-ins for the three golden builders."""
+    def empty_survey():
+        return SurveyResult(period=regenerate._period())
+
+    monkeypatch.setattr(regenerate, "build_survey", empty_survey)
+    monkeypatch.setattr(regenerate, "build_streamed_survey", empty_survey)
+    monkeypatch.setattr(
+        regenerate, "build_anomaly_report",
+        lambda: {"links_total": 0, "events": []},
+    )
+
+
 class TestMainGuard:
     def test_refuses_on_dirty_tree(self, repo, tmp_path, capsys):
         (repo / GUARDED[0] / "mod.py").write_text("VALUE = 3\n")
@@ -71,7 +91,9 @@ class TestMainGuard:
         assert f"{GUARDED[0]}/mod.py" in err
         assert list(out_dir.glob("*.json")) == []
 
-    def test_force_overrides_dirty_tree(self, repo, tmp_path):
+    def test_force_overrides_dirty_tree(
+        self, repo, tmp_path, cheap_builders
+    ):
         (repo / GUARDED[0] / "mod.py").write_text("VALUE = 3\n")
         out_dir = tmp_path / "out"
         out_dir.mkdir()
@@ -84,7 +106,9 @@ class TestMainGuard:
             "anomaly_golden.json",
         }
 
-    def test_clean_tree_regenerates(self, repo, tmp_path):
+    def test_clean_tree_regenerates(
+        self, repo, tmp_path, cheap_builders
+    ):
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         assert main([], repo_root=repo, out_dir=out_dir) == 0

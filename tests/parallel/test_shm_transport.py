@@ -5,9 +5,9 @@ flat survey arrays round-trip through shared-memory blocks losslessly
 (bit-for-bit, NaN placement included); the sharded survey is
 byte-identical across worker counts — and to the reference loops'
 arithmetic (``tests.kernels.oracle``) — whether the data rides shared
-memory or the pickle fallback; and blocks are
-always unlinked — on success, on pickle fallback, and when a shard
-worker raises mid-flight.
+memory (a pool) or stays in the parent (``workers == 1``); and blocks
+are always unlinked — on success and when a shard worker raises
+mid-flight.
 """
 
 import datetime as dt
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.io import survey_to_dict
 from repro.parallel import (
-    SHM_ENV,
     WORKERS_ENV,
     classify_dataset_sharded,
 )
@@ -31,7 +30,6 @@ from repro.parallel.transport import (
     pack_arrays,
     pack_dataset,
     pack_signals,
-    shm_enabled,
     unpack_arrays,
     unpack_dataset,
     unpack_signals,
@@ -66,7 +64,6 @@ def attach_fails(block_name: str) -> bool:
 @pytest.fixture(autouse=True)
 def _pin_environment(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    monkeypatch.delenv(SHM_ENV, raising=False)
 
 
 @st.composite
@@ -214,14 +211,6 @@ class TestDatasetRoundTrip:
         close()
         packed.release()  # no-op, must not raise
 
-    def test_env_knob_disables_shm(self, monkeypatch):
-        monkeypatch.setenv(SHM_ENV, "0")
-        assert not shm_enabled()
-        packed = pack_dataset(synthetic_dataset(num_ases=1, seed=0))
-        assert packed.block is None
-        monkeypatch.setenv(SHM_ENV, "1")
-        assert shm_enabled()
-
 
 class TestSignalsRoundTrip:
     def test_lossless(self):
@@ -237,7 +226,7 @@ class TestSignalsRoundTrip:
                     0, 5, GRID.num_bins
                 ).astype(np.int64),
             )
-        packed = pack_signals(signals, use_shm=True)
+        packed = pack_signals(signals)
         got = unpack_signals(packed, GRID)
         packed.release()
         assert set(got) == set(signals)
@@ -254,8 +243,7 @@ class TestSignalsRoundTrip:
         assert attach_fails(packed.block.block_name)
 
     def test_empty_signals_skip_block(self):
-        assert pack_signals({}, use_shm=True) is None
-        assert pack_signals({}, use_shm=False) is None
+        assert pack_signals({}) is None
 
 
 def canonical(result):
@@ -277,14 +265,12 @@ class TestShardedEquivalence:
         )
         assert canonical(sharded) == canonical(serial)
 
-    @pytest.mark.parametrize("shm", ["1", "0"])
-    def test_shm_vs_pickle_identical(self, shm, monkeypatch):
+    def test_shm_vs_serial_identical(self):
         dataset = degenerate_dataset()
         reference = run_on(
             "reference", classify_dataset_sharded, dataset, PERIOD,
             workers=1,
         )
-        monkeypatch.setenv(SHM_ENV, shm)
         sharded = classify_dataset_sharded(dataset, PERIOD, workers=3)
         assert canonical(sharded) == canonical(reference)
 
@@ -315,7 +301,7 @@ class TestUnlinkDiscipline:
         created = []
         real_pack = transport.pack_dataset
 
-        def spying_pack(dataset, use_shm=None):
+        def spying_pack(dataset, use_shm=True):
             packed = real_pack(dataset, use_shm=use_shm)
             if packed.block is not None:
                 created.append(packed.block.block_name)
@@ -353,7 +339,7 @@ class TestUnlinkDiscipline:
         created = []
         real_pack = transport.pack_dataset
 
-        def spying_pack(dataset, use_shm=None):
+        def spying_pack(dataset, use_shm=True):
             packed = real_pack(dataset, use_shm=use_shm)
             if packed.block is not None:
                 created.append(packed.block.block_name)

@@ -11,12 +11,10 @@ import datetime as dt
 import json
 import threading
 
-import pytest
-
 from repro.core import Severity
 from repro.obs import Observability, observed
 from repro.serve import SurveyAPI
-from repro.store import STORE_MMAP_ENV, SurveyArchive
+from repro.store import SurveyArchive
 from tests.store.conftest import make_ranking, make_survey
 
 THREADS = 8
@@ -31,11 +29,6 @@ HOT_PATHS = (
     "/v1/period/2019-06/severe",
     "/v1/period/2019-06",
 )
-
-
-@pytest.fixture(autouse=True)
-def _pin_environment(monkeypatch):
-    monkeypatch.delenv(STORE_MMAP_ENV, raising=False)
 
 
 def build_archive(root, ranking=None):
@@ -179,17 +172,13 @@ class TestConcurrentMmapReads:
                     assert observation in (before, after)
                 assert slot_observations[-1] == after
 
-    def test_mmap_and_json_modes_serve_identical_bytes(
-        self, tmp_path, monkeypatch
-    ):
+    def test_mmap_and_json_modes_serve_identical_bytes(self, tmp_path):
         with build_archive(tmp_path / "mapped") as archive:
             archive.compact()
             mapped = serve_all(SurveyAPI(archive, cache_size=8))
-        monkeypatch.setenv(STORE_MMAP_ENV, "0")
-        with build_archive(tmp_path / "plain") as archive:
-            archive.compact()
-            plain = serve_all(SurveyAPI(archive, cache_size=8))
-        assert mapped == plain
+        with build_archive(tmp_path / "documents") as archive:
+            documents = serve_all(SurveyAPI(archive, cache_size=8))
+        assert mapped == documents
 
 
 class TestTornSegmentServing:

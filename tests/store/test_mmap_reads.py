@@ -3,8 +3,8 @@
 The serving contract of the mmap path is byte-identity: every archive
 query — point lookup, range scan, per-AS history, severity/country
 indexes, anomaly reports — must return exactly the same canonical
-JSON whichever representation (JSON document vs packed segment) and
-read mode (mmap vs seek+read handle) currently backs the period.
+JSON whichever representation (JSON document vs mapped segment)
+currently backs the period.
 These tests pin that across a seeded multi-period archive, including
 after compaction, after fsck repair, and for pre-columns segments.
 """
@@ -15,12 +15,7 @@ import json
 import pytest
 
 from repro.core import Severity
-from repro.store import (
-    ASNotFoundError,
-    STORE_MMAP_ENV,
-    SurveyArchive,
-    store_mmap_enabled,
-)
+from repro.store import ASNotFoundError, SurveyArchive
 from repro.store.segments import SegmentReader, _TRAILER_LEN, _sha
 from tests.store.conftest import make_ranking, make_survey
 from tests.store.test_anomaly_artifacts import LINK, make_anomaly_payload
@@ -38,11 +33,6 @@ PERIODS = [
 ]
 ALL_ASNS = (100, 200, 300, 400, 999)
 SEVERITIES = ("none", "low", "mild", "severe")
-
-
-@pytest.fixture(autouse=True)
-def _pin_environment(monkeypatch):
-    monkeypatch.delenv(STORE_MMAP_ENV, raising=False)
 
 
 def seed_archive(root):
@@ -153,17 +143,6 @@ class TestCompactedEquivalence:
             for name, _, _ in PERIODS:
                 assert fresh._reader(name).mapped
 
-    def test_handle_mode_matches(self, baseline, monkeypatch):
-        root, expected = baseline
-        with SurveyArchive(root) as archive:
-            archive.compact()
-        monkeypatch.setenv(STORE_MMAP_ENV, "0")
-        assert not store_mmap_enabled()
-        with SurveyArchive(root) as archive:
-            assert query_snapshot(archive) == expected
-            for name, _, _ in PERIODS:
-                assert not archive._reader(name).mapped
-
     def test_mixed_representation_matches(self, baseline):
         root, expected = baseline
         with SurveyArchive(root) as archive:
@@ -186,20 +165,21 @@ class TestCompactedEquivalence:
                 assert reader.column_entry(100) is None
             assert query_snapshot(archive) == expected
 
-    def test_post_fsck_repair_matches(self, baseline, monkeypatch):
+    def test_post_fsck_repair_matches(self, baseline):
         root, expected = baseline
         with SurveyArchive(root) as archive:
             archive.compact()
             report = archive.fsck(repair=True)
             assert report.clean
             assert query_snapshot(archive) == expected
-        monkeypatch.setenv(STORE_MMAP_ENV, "off")
         with SurveyArchive(root) as archive:
             assert query_snapshot(archive) == expected
 
     def test_fsck_repair_of_torn_segment_keeps_modes_agreeing(
-        self, baseline, monkeypatch
+        self, baseline
     ):
+        """The archive that ran the repair and a fresh open of the
+        repaired archive serve the same bytes."""
         root, _ = baseline
         with SurveyArchive(root) as archive:
             archive.compact()
@@ -212,7 +192,6 @@ class TestCompactedEquivalence:
             assert report.repair_count >= 1
             assert "2019-09" not in archive.periods()
             repaired = query_snapshot(archive)
-        monkeypatch.setenv(STORE_MMAP_ENV, "0")
         with SurveyArchive(root) as archive:
             assert query_snapshot(archive) == repaired
 
@@ -243,7 +222,7 @@ class TestColumnIntegrity:
         from repro.store import ArchiveCorruptionError
 
         path = self.make_segment(tmp_path)
-        with SegmentReader(path, use_mmap=False) as probe:
+        with SegmentReader(path) as probe:
             meta = probe._footer["columns"]
         raw = bytearray(path.read_bytes())
         raw[int(meta["offset"])] ^= 0xFF
@@ -255,19 +234,6 @@ class TestColumnIntegrity:
             # ...but the columns section refuses to serve.
             with pytest.raises(ArchiveCorruptionError):
                 reader.columns()
-
-    def test_mmap_and_handle_columns_identical(self, tmp_path):
-        path = self.make_segment(tmp_path)
-        with SegmentReader(path, use_mmap=True) as fast, \
-                SegmentReader(path, use_mmap=False) as slow:
-            fast_cols = fast.columns()
-            slow_cols = slow.columns()
-            assert fast_cols.keys() == slow_cols.keys()
-            for name in fast_cols:
-                assert fast_cols[name].tobytes() == \
-                    slow_cols[name].tobytes()
-            for asn in ALL_ASNS:
-                assert fast.column_entry(asn) == slow.column_entry(asn)
 
     def test_close_tolerates_outstanding_views(self, tmp_path):
         path = self.make_segment(tmp_path)
@@ -303,6 +269,23 @@ class TestFallback:
         assert not seg.exists()
         assert (root / "quarantine" / "2019-09.seg").exists()
 
+    def test_unmappable_segment_quarantined(self, baseline):
+        """A zero-length segment cannot be mapped: it is corrupt, so
+        it is quarantined and the JSON document serves instead."""
+        from repro.store import ArchiveCorruptionError
+
+        root, expected = baseline
+        with SurveyArchive(root) as archive:
+            archive.compact(keep_json=True)
+        seg = root / "segments" / "2019-09.seg"
+        seg.write_bytes(b"")
+        with pytest.raises(ArchiveCorruptionError):
+            SegmentReader(seg)
+        with SurveyArchive(root) as archive:
+            assert query_snapshot(archive) == expected
+        assert not seg.exists()
+        assert (root / "quarantine" / "2019-09.seg").exists()
+
     def test_point_lookup_falls_back(self, baseline):
         root, _ = baseline
         with SurveyArchive(root) as archive:
@@ -329,14 +312,3 @@ class TestFallback:
             with pytest.raises(ArchiveCorruptionError):
                 archive.get_period("2019-06")
 
-
-class TestEnvKnob:
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", "json"])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv(STORE_MMAP_ENV, value)
-        assert not store_mmap_enabled()
-
-    @pytest.mark.parametrize("value", ["", "1", "on", "mmap"])
-    def test_enabled_values(self, monkeypatch, value):
-        monkeypatch.setenv(STORE_MMAP_ENV, value)
-        assert store_mmap_enabled()

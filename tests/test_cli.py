@@ -416,20 +416,6 @@ class TestLoadtestCommand:
         assert main(["loadtest"]) == 2
         assert "archive directory or --url" in capsys.readouterr().err
 
-    def test_no_mmap_flag_disables_segment_mapping(
-        self, archive_dir, capsys, monkeypatch
-    ):
-        from repro.store import STORE_MMAP_ENV, store_mmap_enabled
-
-        monkeypatch.delenv(STORE_MMAP_ENV, raising=False)
-        code = main([
-            "loadtest", archive_dir, "--in-process", "--no-mmap",
-            "--concurrency", "2", "--duration", "0.2", "--warmup", "0",
-        ])
-        assert code == 0
-        capsys.readouterr()
-        assert not store_mmap_enabled()
-
     def test_rejects_bad_mix_entry(self, archive_dir, capsys):
         code = main([
             "loadtest", archive_dir, "--mix", "bogus=1",
