@@ -1,43 +1,44 @@
-"""Tests for online statistics sketches."""
+"""Unit cases for the online median estimators.
+
+The monitor's open per-probe bins and the streaming survey engine
+share :mod:`repro.stream.median`; these are small worked examples
+beside the property suite in ``tests/stream/test_median_properties.py``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.raclette import ExactMedian, P2Quantile, RollingMinimum
+from repro.stream import ExactMedian, P2Median
 
 
 class TestExactMedian:
     def test_empty(self):
-        assert ExactMedian().median() is None
+        assert np.isnan(ExactMedian().value())
 
     def test_odd_even(self):
         sketch = ExactMedian()
         sketch.extend([3.0, 1.0, 2.0])
-        assert sketch.median() == 2.0
+        assert sketch.value() == 2.0
         sketch.add(10.0)
-        assert sketch.median() == 2.5
-        assert sketch.count == 4
+        assert sketch.value() == 2.5
+        assert sketch.n == 4
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6),
                     min_size=1, max_size=50))
     def test_matches_numpy(self, values):
         sketch = ExactMedian()
         sketch.extend(values)
-        assert sketch.median() == pytest.approx(float(np.median(values)))
+        assert sketch.value() == pytest.approx(float(np.median(values)))
 
 
 class TestP2Quantile:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
+    """The P² estimator at p = 0.5 (:class:`P2Median`)."""
 
     def test_exact_below_five_samples(self):
-        sketch = P2Quantile(0.5)
-        assert sketch.value() is None
+        sketch = P2Median()
+        assert np.isnan(sketch.value())
         sketch.extend([5.0, 1.0, 3.0])
         assert sketch.value() == 3.0
 
@@ -46,52 +47,18 @@ class TestP2Quantile:
     def test_median_accuracy_normal(self, seed):
         rng = np.random.default_rng(seed)
         data = rng.normal(10.0, 2.0, size=3000)
-        sketch = P2Quantile(0.5)
+        sketch = P2Median()
         sketch.extend(data)
         assert sketch.value() == pytest.approx(
             float(np.median(data)), abs=0.3
         )
 
-    def test_p90_accuracy_skewed(self):
-        rng = np.random.default_rng(7)
-        data = rng.exponential(5.0, size=5000)
-        sketch = P2Quantile(0.9)
-        sketch.extend(data)
-        expected = float(np.percentile(data, 90))
-        assert sketch.value() == pytest.approx(expected, rel=0.15)
-
     def test_count(self):
-        sketch = P2Quantile()
+        sketch = P2Median()
         sketch.extend(range(10))
-        assert sketch.count == 10
+        assert sketch.n == 10
 
     def test_constant_stream(self):
-        sketch = P2Quantile(0.5)
+        sketch = P2Median()
         sketch.extend([4.2] * 100)
         assert sketch.value() == pytest.approx(4.2)
-
-
-class TestRollingMinimum:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RollingMinimum(0)
-
-    def test_window_behaviour(self):
-        rolling = RollingMinimum(3)
-        assert rolling.minimum() is None
-        assert rolling.push(5.0) == 5.0
-        assert rolling.push(3.0) == 3.0
-        assert rolling.push(4.0) == 3.0
-        assert rolling.push(6.0) == 3.0   # window [3,4,6]
-        assert rolling.push(7.0) == 4.0   # 3 expired
-        assert rolling.push(2.0) == 2.0
-
-    @given(st.lists(st.floats(min_value=-1e3, max_value=1e3),
-                    min_size=1, max_size=200),
-           st.integers(min_value=1, max_value=20))
-    def test_matches_naive(self, values, window):
-        rolling = RollingMinimum(window)
-        for index, value in enumerate(values):
-            result = rolling.push(value)
-            naive = min(values[max(0, index - window + 1): index + 1])
-            assert result == naive
